@@ -19,7 +19,6 @@ from .data import (
     load_embeddings,
     load_reviews,
     make_batches,
-    random_embeddings,
     synth_generate,
     write_jsonl,
 )

@@ -6,7 +6,9 @@ a final metrics JSON, and a checkpoint.  Config precedence is CLI flag >
 config file > built-in default; the manifest echoes the fully resolved config
 so a run can be replayed without the original shell invocation.
 
-Exit codes: 0 ok, 2 usage/config error, 3 numeric failure.
+Exit codes: 0 ok, 2 usage, config or corpus error (ConfigError, CorpusError,
+FileNotFoundError), 3 numeric failure.  Any other exception is a bug and
+propagates with its traceback (Python exits 1).
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import data, evaluation, model as mdl, objective as obj, training
 
@@ -150,6 +150,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+@contextmanager
+def _as_config_error():
+    """Report a config object's validation failure as a user-facing ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+@_as_config_error()
 def _model_config(cfg: dict) -> mdl.ModelConfig:
     return mdl.ModelConfig(
         embedding_dim=cfg["embedding_dim"],
@@ -163,6 +173,7 @@ def _model_config(cfg: dict) -> mdl.ModelConfig:
     )
 
 
+@_as_config_error()
 def _train_config(cfg: dict) -> training.TrainConfig:
     return training.TrainConfig(
         lr_gen=cfg["lr_gen"],
@@ -280,15 +291,15 @@ def _write_metrics_stream(out_dir: Path, history: training.TrainHistory) -> None
 
 
 def _write_final(out_dir: Path, run: evaluation.EvalRun) -> None:
-    payload = run.metrics.as_json_dict()
-    (out_dir / "final.json").write_text(
-        json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-    )
     with (out_dir / "masks.jsonl").open("w", encoding="utf-8") as fh:
         for ex_id, mask in zip(run.ids, run.masks):
             fh.write(
                 json.dumps({"id": ex_id, "mask": "".join(str(int(m)) for m in mask)}) + "\n"
             )
+    # final.json is written last and moved into place whole: a run that has it is complete
+    tmp = out_dir / "final.json.tmp"
+    tmp.write_text(json.dumps(run.metrics.as_json_dict(), sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(tmp, out_dir / "final.json")
 
 
 def _emit_synth_corpora(out_dir: Path, cfg: dict, splits: data.Splits) -> None:
@@ -306,27 +317,22 @@ def _final_split(splits: data.Splits) -> data.Dataset:
 
 
 def _run_training(
-    args: argparse.Namespace,
-    argv: Sequence[str],
-    command: str,
+    out_dir: Path,
     cfg: dict,
+    train_cfg: training.TrainConfig,
     params: mdl.ModelParams,
     splits: data.Splits,
     token_classes,
-    out_dir: Path,
-    manifest_extra: Optional[dict] = None,
-) -> int:
-    train_cfg = _train_config(cfg)
+) -> evaluation.EvalRun:
+    """Train, then write the run's metrics stream, checkpoint, reports/, masks
+    and final metrics; final.json comes last."""
     best, history = training.train(params, splits, train_cfg, token_classes=token_classes)
     _write_metrics_stream(out_dir, history)
     run = evaluation.evaluate_model(best, _final_split(splits), max_len=cfg["max_len"])
-    _write_final(out_dir, run)
     mdl.save_checkpoint(out_dir / "checkpoint.npz", best, meta={"config": cfg})
     (out_dir / "reports").mkdir(exist_ok=True)
-    if manifest_extra:
-        _amend_manifest(out_dir, manifest_extra)
-    print(json.dumps(run.metrics.as_json_dict(), sort_keys=True))
-    return 0
+    _write_final(out_dir, run)
+    return run
 
 
 def cmd_train(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -336,7 +342,9 @@ def cmd_train(args: argparse.Namespace, argv: Sequence[str]) -> int:
     write_manifest(out_dir, "train", argv, cfg)
     _emit_synth_corpora(out_dir, cfg, splits)
     params = mdl.build_model(_model_config(cfg), vocab, embeddings=embeddings, seed=cfg["seed"])
-    return _run_training(args, argv, "train", cfg, params, splits, token_classes, out_dir)
+    run = _run_training(out_dir, cfg, _train_config(cfg), params, splits, token_classes)
+    print(json.dumps(run.metrics.as_json_dict(), sort_keys=True))
+    return 0
 
 
 def cmd_skew(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -350,15 +358,16 @@ def cmd_skew(args: argparse.Namespace, argv: Sequence[str]) -> int:
     write_manifest(out_dir, "skew", argv, cfg)
     _emit_synth_corpora(out_dir, cfg, splits)
     params = mdl.build_model(_model_config(cfg), vocab, embeddings=embeddings, seed=cfg["seed"])
-    skew_cfg = training.SkewConfig(
-        mode=f"skewed_{cfg['skew_kind']}",
-        k=cfg["skew_k"],
-        batch_size=cfg["skew_batch_size"],
-        lr=cfg["skew_lr"],
-        predictor_input=cfg["skew_predictor_input"],
-        epoch_cap=cfg["skew_epoch_cap"],
-        seed=cfg["seed"],
-    )
+    with _as_config_error():
+        skew_cfg = training.SkewConfig(
+            mode=f"skewed_{cfg['skew_kind']}",
+            k=cfg["skew_k"],
+            batch_size=cfg["skew_batch_size"],
+            lr=cfg["skew_lr"],
+            predictor_input=cfg["skew_predictor_input"],
+            epoch_cap=cfg["skew_epoch_cap"],
+            seed=cfg["seed"],
+        )
     extra: dict = {"skew": {"kind": cfg["skew_kind"], "k": cfg["skew_k"]}}
     if cfg["skew_kind"] == "generator":
         params, pre_acc = training.pretrain_skewed_generator(params, splits, skew_cfg)
@@ -366,25 +375,27 @@ def cmd_skew(args: argparse.Namespace, argv: Sequence[str]) -> int:
     else:
         training.pretrain_skewed_predictor(params, splits, skew_cfg, token_classes=token_classes)
         extra["pretrain_epochs"] = int(cfg["skew_k"])
-    return _run_training(
-        args, argv, "skew", cfg, params, splits, token_classes, out_dir, manifest_extra=extra
-    )
+    run = _run_training(out_dir, cfg, _train_config(cfg), params, splits, token_classes)
+    _amend_manifest(out_dir, extra)
+    print(json.dumps(run.metrics.as_json_dict(), sort_keys=True))
+    return 0
 
 
-def _parse_rate_list(raw: str, flag: str) -> list[float]:
-    rates = [float(v) for v in raw.split(",") if v.strip()]
-    if not rates:
+def _parse_list(raw: str, flag: str, typ: type) -> list:
+    try:
+        values = [typ(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag}: cannot parse {raw!r} as a list of {typ.__name__}") from None
+    if not values:
         raise ConfigError(f"{flag} must list at least one value")
-    return rates
+    return values
 
 
 def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = resolve_config(args)
-    gen_rates = _parse_rate_list(args.gen_rates, "--gen-rates")
-    pred_rates = _parse_rate_list(args.pred_rates, "--pred-rates")
-    seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
-    if not seeds:
-        raise ConfigError("--seeds must list at least one seed")
+    gen_rates = _parse_list(args.gen_rates, "--gen-rates", float)
+    pred_rates = _parse_list(args.pred_rates, "--pred-rates", float)
+    seeds = _parse_list(args.seeds, "--seeds", int)
     cfg["share_depth"] = 0
     cfg["mode"] = "rnp"
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
@@ -394,32 +405,28 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
     write_manifest(out_dir, "grid", argv, cfg, extra={
         "grid": {"gen_rates": gen_rates, "pred_rates": pred_rates, "seeds": seeds}
     })
-    median = np.zeros((len(gen_rates), len(pred_rates)))
-    for i, lg in enumerate(gen_rates):
-        for j, lp in enumerate(pred_rates):
-            scores = []
-            for seed in seeds:
-                cell_cfg = dict(cfg, lr_gen=lg, lr_pred=lp, seed=seed)
-                cell_dir = out_dir / f"cell-g{lg:g}-p{lp:g}-s{seed}"
-                final_path = cell_dir / "final.json"
-                if (cell_dir / "manifest.json").exists() and final_path.exists():
-                    payload = json.loads(final_path.read_text(encoding="utf-8"))
-                    scores.append(payload["F1"])
-                    continue
-                write_manifest(cell_dir, "train", argv, cell_cfg)
-                params = mdl.build_model(
-                    _model_config(cell_cfg), vocab, embeddings=embeddings, seed=seed
-                )
-                best, history = training.train(
-                    params, splits, _train_config(cell_cfg), token_classes=token_classes
-                )
-                _write_metrics_stream(cell_dir, history)
-                run = evaluation.evaluate_model(best, splits.annotation, max_len=cfg["max_len"])
-                _write_final(cell_dir, run)
-                mdl.save_checkpoint(cell_dir / "checkpoint.npz", best, meta={"config": cell_cfg})
-                (cell_dir / "reports").mkdir(exist_ok=True)
-                scores.append(run.metrics.as_json_dict()["F1"])
-            median[i, j] = float(np.median(scores))
+
+    def run_cell(
+        params: mdl.ModelParams, splits: data.Splits, train_cfg: training.TrainConfig
+    ) -> float:
+        """Train one cell into its own directory and score it by its final.json
+        F1; a finished cell built from the same resolved config is read back."""
+        lg, lp, seed = train_cfg.lr_gen, train_cfg.lr_pred, train_cfg.seed
+        cell_cfg = dict(cfg, lr_gen=lg, lr_pred=lp, seed=seed)
+        cell_dir = out_dir / f"cell-g{lg:g}-p{lp:g}-s{seed}"
+        manifest, final = cell_dir / "manifest.json", cell_dir / "final.json"
+        if manifest.exists() and final.exists():
+            if json.loads(manifest.read_text(encoding="utf-8"))["resolved_config"] == cell_cfg:
+                return json.loads(final.read_text(encoding="utf-8"))["F1"]
+        final.unlink(missing_ok=True)  # a stale result must not outlive the new manifest
+        write_manifest(cell_dir, "train", argv, cell_cfg)
+        run = _run_training(cell_dir, cell_cfg, train_cfg, params, splits, token_classes)
+        return run.metrics.as_json_dict()["F1"]
+
+    median = training.lr_grid(
+        _model_config(cfg), vocab, splits, _train_config(cfg), gen_rates, pred_rates, seeds,
+        embeddings=embeddings, run_cell=run_cell,
+    ).median_f1
     with (out_dir / "grid.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lr_gen\\lr_pred"] + [f"{lp:g}" for lp in pred_rates])
@@ -432,18 +439,8 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
         )
     table = "\n".join(lines)
     (out_dir / "grid.txt").write_text(table + "\n", encoding="utf-8")
-    (out_dir / "grid.json").write_text(
-        json.dumps(
-            {
-                "gen_rates": gen_rates,
-                "pred_rates": pred_rates,
-                "median_f1": median.tolist(),
-            },
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    summary = {"gen_rates": gen_rates, "pred_rates": pred_rates, "median_f1": median.tolist()}
+    (out_dir / "grid.json").write_text(json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
     print(table)
     return 0
 
@@ -478,10 +475,9 @@ def _probe_sentences(
 
 def cmd_probe(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = resolve_config(args)
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt}")
-    params, _ = mdl.load_checkpoint(ckpt)
+    if args.max_examples < 1:
+        raise ConfigError(f"--max-examples must be at least 1, got {args.max_examples}")
+    params, _ = mdl.load_checkpoint(args.checkpoint)  # FileNotFoundError names the path
     out_dir = Path(args.out) if args.out else _out_root() / f"probe-{args.probe}"
     out_dir.mkdir(parents=True, exist_ok=True)
     token_classes = None
@@ -520,10 +516,7 @@ def cmd_probe(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_eval(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = resolve_config(args)
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt}")
-    params, _ = mdl.load_checkpoint(ckpt)
+    params, _ = mdl.load_checkpoint(args.checkpoint)
     splits, _, _, _ = resolve_data(cfg)
     dataset = {"train": splits.train, "dev": splits.dev, "annotation": splits.annotation}[
         args.split
@@ -614,7 +607,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except training.DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, data.CorpusError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, data.CorpusError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -193,13 +193,6 @@ class EmbeddingTable:
         self.vectors[MASK_ID] = 0.0
 
 
-def random_embeddings(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingTable:
-    """Fresh table, every row uniform in [-0.05, 0.05] except the reserved zeros."""
-    rng = np.random.default_rng(seed)
-    vec = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
-    return EmbeddingTable(vec)
-
-
 def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingTable:
     """Load pretrained vectors in the standard "word f1 ... fd" text format.
 

@@ -18,6 +18,7 @@ from .data import (
     CLASS_MARKER,
     CLASS_PUNCTUATION,
     PAD_ID,
+    CorpusError,
     Dataset,
     Example,
     classify_tokens,
@@ -290,7 +291,7 @@ class ProbeReport:
 def _strict_encode(params: mdl.ModelParams, tokens: Sequence[str]) -> np.ndarray:
     missing = [t for t in tokens if t not in params.vocab]
     if missing:
-        raise ValueError(f"probe token(s) not in vocabulary: {missing}")
+        raise CorpusError(f"probe token(s) not in vocabulary: {missing}")
     return params.vocab.encode(tokens)[None, :]
 
 
@@ -379,6 +380,8 @@ def insertion_probe(
     token=None with as_pad=True appends a PAD position instead, which pooling
     must ignore exactly.
     """
+    if not examples:
+        raise ValueError("the insertion probe needs at least one example")
     deltas = []
     for ex in examples:
         base_ids = _strict_encode(params, ex.tokens)

@@ -389,16 +389,17 @@ class MaskSample:
     temperature: float
 
 
-def _sample_from_logits(
-    logits: np.ndarray,
+def _sample(
+    probs: np.ndarray,
+    logits: Optional[np.ndarray],
     temperature: float,
     mode: str,
     rng: Optional[np.random.Generator],
     pad_mask: Optional[np.ndarray],
 ) -> MaskSample:
+    """Draw a mask from `probs`; train mode perturbs `logits`, eval thresholds `probs`."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    probs = sigmoid(logits)
     if mode == "train":
         if rng is None:
             raise ValueError("train-mode sampling requires a noise source")
@@ -435,21 +436,12 @@ def sample_mask(
     probs = np.asarray(probs, dtype=np.float64)
     if pad_mask is not None:
         probs = probs * pad_mask
-    if mode == "eval":
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        return MaskSample(
-            probs=probs,
-            hard_mask=(probs > 0.5).astype(np.float64),
-            soft_mask=probs.copy(),
-            temperature=temperature,
-        )
-    clipped = np.clip(probs, 1e-12, 1.0 - 1e-12)
-    logits = np.log(clipped) - np.log1p(-clipped)
+    logits = None
+    if mode == "train":
+        clipped = np.clip(probs, 1e-12, 1.0 - 1e-12)
+        logits = np.log(clipped) - np.log1p(-clipped)
     rng = np.random.default_rng(noise_seed) if isinstance(noise_seed, int) else noise_seed
-    sample = _sample_from_logits(logits, temperature, mode, rng, pad_mask)
-    sample.probs = probs
-    return sample
+    return _sample(probs, logits, temperature, mode, rng, pad_mask)
 
 
 def apply_mask(embedded: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -526,9 +518,9 @@ def forward(
     gen_states, gen_caches = encode(params.gen_layers, emb_full, batch.pad_mask, with_cache=True)
     gen_logits = params.gen_head.forward(gen_states)[..., 0]
     rng = np.random.default_rng(noise) if isinstance(noise, int) else noise
-    sample = _sample_from_logits(
-        gen_logits, params.config.temperature, mode if force_mask is None else "eval",
-        rng, batch.pad_mask,
+    sample = _sample(
+        sigmoid(gen_logits), gen_logits, params.config.temperature,
+        mode if force_mask is None else "eval", rng, batch.pad_mask,
     )
     if force_mask is None:
         mask_values = sample.hard_mask if mask_forward == "hard" else sample.soft_mask
@@ -574,6 +566,16 @@ class LossBreakdown:
     logits: np.ndarray
     mask: MaskSample
     mask_values: np.ndarray
+
+
+def _scatter_embedding_grad(params: ModelParams, token_ids: np.ndarray, demb: np.ndarray):
+    """Accumulate per-token embedding gradients into the table's rows; the PAD
+    and MASK rows stay fixed at zero.  A no-op for a frozen embedding."""
+    if not params.config.train_embedding:
+        return
+    np.add.at(params.embedding.grad, token_ids.reshape(-1), demb.reshape(-1, demb.shape[-1]))
+    params.embedding.grad[PAD_ID] = 0.0
+    params.embedding.grad[MASK_ID] = 0.0
 
 
 def loss_and_grads(
@@ -627,14 +629,7 @@ def loss_and_grads(
             params.gen_layers, cache["gen_caches"], dgen_states, batch.pad_mask
         )
 
-    if params.config.train_embedding:
-        flat_ids = batch.token_ids.reshape(-1)
-        np.add.at(
-            params.embedding.grad, flat_ids, demb_full.reshape(-1, params.config.embedding_dim)
-        )
-        params.embedding.grad[PAD_ID] = 0.0
-        params.embedding.grad[MASK_ID] = 0.0
-
+    _scatter_embedding_grad(params, batch.token_ids, demb_full)
     return LossBreakdown(
         ce=ce, omega=omega, total=total, logits=out.logits, mask=out.mask,
         mask_values=out.mask_values,

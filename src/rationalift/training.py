@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import evaluation, model as mdl, objective as obj
-from .data import CLASS_FILLER, CLASS_MARKER, MASK_ID, PAD_ID, Dataset, Splits, make_batches
+from .data import CLASS_FILLER, CLASS_MARKER, Dataset, Splits, make_batches
 
 logger = logging.getLogger(__name__)
 
@@ -69,8 +69,8 @@ class SkewConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("skewed_predictor", "skewed_generator"):
             raise ValueError(f"unknown skew mode {self.mode!r}")
-        if self.k <= 0:
-            raise ValueError("k must be positive")
+        if self.k <= 0 or self.batch_size < 1:
+            raise ValueError("k must be positive and batch_size >= 1")
         if self.mode == "skewed_generator" and not 0.5 < self.k < 1.0:
             raise ValueError("generator-skew threshold must lie in (0.5, 1)")
         if self.predictor_input not in ("first_sentence", "marker_only"):
@@ -166,17 +166,21 @@ def clip_gradients(parameters: Sequence[mdl.Parameter], max_norm: float) -> floa
     return total
 
 
+def _selection_key(record: EpochRecord, alpha: float, delta_sparsity: float) -> tuple:
+    """Model-selection rank of an epoch, lower is better: epochs within the
+    sparsity band come first, by dev accuracy; the rest by distance to alpha."""
+    dist = abs(record.dev_sparsity - alpha)
+    return (0, -record.dev_acc) if dist <= delta_sparsity else (1, dist)
+
+
 def select_model(history: TrainHistory, alpha: float, delta_sparsity: float = 0.05) -> int:
     """Index of the chosen epoch: max dev accuracy within the sparsity band
     (earliest on ties); if no epoch is in band, the closest-sparsity epoch."""
     if not history:
         raise ValueError("history is empty")
-    in_band = [
-        i for i, r in enumerate(history) if abs(r.dev_sparsity - alpha) <= delta_sparsity
-    ]
-    if in_band:
-        return min(in_band, key=lambda i: (-history[i].dev_acc, i))
-    return min(range(len(history)), key=lambda i: (abs(history[i].dev_sparsity - alpha), i))
+    # min keeps the first of equal keys, so ties go to the earliest epoch
+    keys = [_selection_key(r, alpha, delta_sparsity) for r in history]
+    return min(range(len(history)), key=keys.__getitem__)
 
 
 def _evaluate_epoch(
@@ -226,9 +230,8 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_ss)
     noise_rng = np.random.default_rng(noise_ss)
     history: TrainHistory = []
-    alpha = cfg.objective.alpha
-    best_band: Optional[tuple[float, int, dict]] = None  # (acc, index, state)
-    best_near: Optional[tuple[float, int, dict]] = None  # (|S - alpha|, index, state)
+    best_key: Optional[tuple] = None  # _selection_key of the snapshot epoch
+    best_state: dict = {}
     for epoch_idx in range(cfg.epochs):
         ce_sum = omega_sum = 0.0
         batches = make_batches(
@@ -266,16 +269,11 @@ def train(
         )
         _evaluate_epoch(params, splits, cfg, token_classes, record)
         history.append(record)
-        dist = abs(record.dev_sparsity - alpha)
-        if dist <= cfg.delta_sparsity and (best_band is None or record.dev_acc > best_band[0]):
-            best_band = (record.dev_acc, epoch_idx, params.state_dict())
-        if best_near is None or dist < best_near[0]:
-            best_near = (dist, epoch_idx, params.state_dict())
-    chosen_idx = select_model(history, alpha, cfg.delta_sparsity)
-    chosen = best_band if best_band is not None else best_near
-    assert chosen is not None and chosen[1] == chosen_idx, "snapshot/selection mismatch"
+        key = _selection_key(record, cfg.objective.alpha, cfg.delta_sparsity)
+        if best_key is None or key < best_key:  # strict: ties keep the earliest epoch
+            best_key, best_state = key, params.state_dict()
     best = params.clone()
-    best.load_state(chosen[2])
+    best.load_state(best_state)
     return best, history
 
 
@@ -400,14 +398,7 @@ def pretrain_skewed_generator(
             dstates = np.zeros_like(states)
             dstates[:, 0, :] = da0[:, None] * params.gen_head.W.value[0]
             demb = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask)
-            if params.config.train_embedding:
-                np.add.at(
-                    params.embedding.grad,
-                    batch.token_ids.reshape(-1),
-                    demb.reshape(-1, params.config.embedding_dim),
-                )
-                params.embedding.grad[PAD_ID] = 0.0
-                params.embedding.grad[MASK_ID] = 0.0
+            mdl._scatter_embedding_grad(params, batch.token_ids, demb)
             optimizer.step()
         acc = _first_token_accuracy(params, splits.train, skew.batch_size)
         best_acc = max(best_acc, acc)
@@ -437,6 +428,13 @@ class GridResult:
         return float(self.median_f1[i, j])
 
 
+def _score_cell(params: mdl.ModelParams, splits: Splits, cfg: TrainConfig) -> float:
+    """Annotation F1 of the checkpoint `train` selects."""
+    best, _ = train(params, splits, cfg)
+    run = evaluation.evaluate_model(best, splits.annotation, max_len=cfg.max_len)
+    return float(run.metrics.f1)
+
+
 def lr_grid(
     model_cfg: mdl.ModelConfig,
     vocab,
@@ -446,9 +444,15 @@ def lr_grid(
     pred_rates: Sequence[float],
     seeds: Sequence[int],
     embeddings=None,
+    run_cell: Callable[[mdl.ModelParams, Splits, TrainConfig], float] = _score_cell,
 ) -> GridResult:
     """Cross-product sweep of generator/predictor learning rates for the
-    two-phase baseline; per-cell median annotation F1 over seeds."""
+    two-phase baseline; per-cell median annotation F1 over seeds.
+
+    Each (rate pair, seed) run gets a fresh model built from `seed` and is
+    scored by `run_cell(params, splits, cfg)`, which trains it and returns its
+    F1; the CLI passes one that also resumes and writes the run's artifacts.
+    """
     if model_cfg.share_depth != 0:
         raise ValueError("the learning-rate grid is defined for the two-phase baseline")
     if not gen_rates or not pred_rates or not seeds:
@@ -463,9 +467,7 @@ def lr_grid(
             for seed in seeds:
                 params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=seed)
                 cfg = replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed)
-                best, _ = train(params, splits, cfg)
-                run = evaluation.evaluate_model(best, splits.annotation, max_len=cfg.max_len)
-                scores.append((seed, float(run.metrics.f1)))
+                scores.append((seed, run_cell(params, splits, cfg)))
                 logger.info("grid cell lr_gen=%g lr_pred=%g seed=%d F1=%.4f", lg, lp, seed, scores[-1][1])
             cells[(i, j)] = scores
             median[i, j] = float(np.median([f for _, f in scores]))

@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, manifests, artifact layout, reproducibility."""
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from rationalift import cli
 from rationalift import data as dat
 from rationalift import model as mdl
+from rationalift import training
 
 
 TINY_SYNTH = """
@@ -152,9 +154,73 @@ class TestGridCommand:
         assert cli.main(argv) == 0
         assert ckpt.stat().st_mtime_ns == stamp
 
+    def test_rerun_with_changed_config_retrains_cells(self, synth_cfg, tmp_path):
+        out = tmp_path / "grid3"
+        argv = ["grid", "--config", str(synth_cfg), "--gen-rates", "2e-3",
+                "--pred-rates", "1e-3", "--seeds", "0", "--out", str(out)]
+        assert cli.main(argv + ["--epochs", "1"]) == 0
+        assert cli.main(argv + ["--epochs", "2"]) == 0
+        cell = out / "cell-g0.002-p0.001-s0"
+        assert len((cell / "metrics.jsonl").read_text().splitlines()) == 2
+        assert json.loads((cell / "manifest.json").read_text())["resolved_config"]["epochs"] == 2
+
+    def test_medians_equal_lr_grid(self, synth_cfg, tmp_path):
+        out = tmp_path / "grid4"
+        gen_rates, pred_rates, seeds = [2e-3], [1e-3, 4e-4], [0, 1, 2]
+        assert cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "2e-3",
+                         "--pred-rates", "1e-3,4e-4", "--seeds", "0,1,2",
+                         "--out", str(out), "--epochs", "1"]) == 0
+        cfg = cli.resolve_config(argparse.Namespace(config=str(synth_cfg), epochs=1, mode="rnp"))
+        splits, vocab, embeddings, _ = cli.resolve_data(cfg)
+        result = training.lr_grid(cli._model_config(cfg), vocab, splits, cli._train_config(cfg),
+                                  gen_rates, pred_rates, seeds, embeddings=embeddings)
+        # a CLI cell is scored by its final.json F1, which keeps 6 decimals; with an
+        # odd number of seeds each median is one cell's score, so rounding commutes
+        rounded = [[round(f, 6) for f in row] for row in result.median_f1.tolist()]
+        assert json.loads((out / "grid.json").read_text())["median_f1"] == rounded
+        for (i, j), scores in result.cells.items():
+            for seed, f1 in scores:
+                cell = out / f"cell-g{gen_rates[i]:g}-p{pred_rates[j]:g}-s{seed}"
+                assert json.loads((cell / "final.json").read_text())["F1"] == round(f1, 6)
+
     def test_empty_rate_list_exits_2(self, synth_cfg, capsys):
         assert cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "",
                          "--pred-rates", "1e-3"]) == 2
+
+    def test_unparsable_seed_list_exits_2(self, synth_cfg, capsys):
+        assert cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "1e-3",
+                         "--pred-rates", "1e-3", "--seeds", "0,one"]) == 2
+        assert "--seeds" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_invalid_model_config_exits_2(self, synth_cfg, tmp_path, capsys):
+        code = cli.main(["train", "--config", str(synth_cfg), "--share-depth", "3",
+                         "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert "share_depth" in capsys.readouterr().err
+
+    def test_invalid_train_config_exits_2(self, synth_cfg, tmp_path, capsys):
+        code = cli.main(["train", "--config", str(synth_cfg), "--lr-gen", "0",
+                         "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert "learning rates" in capsys.readouterr().err
+
+    def test_invalid_skew_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "skew.cfg"
+        path.write_text(TINY_SYNTH + "skew_batch_size = 0\n")
+        code = cli.main(["skew", "--config", str(path), "--kind", "generator", "--k", "0.6",
+                         "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
+
+    def test_internal_value_error_propagates(self, synth_cfg, tmp_path, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(training, "train", broken_train)
+        with pytest.raises(ValueError, match="internal failure"):
+            cli.main(["train", "--config", str(synth_cfg), "--out", str(tmp_path / "run")])
 
 
 @pytest.fixture()
@@ -171,6 +237,13 @@ class TestProbeCommand:
                          "--checkpoint", str(tmp_path / "no.npz"),
                          "--probe", "lemma3"])
         assert code == 2
+
+    def test_zero_max_examples_exits_2(self, synth_cfg, trained_checkpoint, capsys):
+        code = cli.main(["probe", "--config", str(synth_cfg),
+                         "--checkpoint", str(trained_checkpoint),
+                         "--probe", "insertion", "--max-examples", "0"])
+        assert code == 2
+        assert "--max-examples" in capsys.readouterr().err
 
     def test_unknown_probe_exits_2(self, synth_cfg, trained_checkpoint):
         assert cli.main(["probe", "--config", str(synth_cfg),

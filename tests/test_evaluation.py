@@ -266,6 +266,11 @@ class TestProbes:
                                  as_pad=True)
         assert report.summary["max_delta"] == 0.0
 
+    def test_insertion_without_examples_rejected(self, probe_world):
+        cfg, _, _, params = probe_world
+        with pytest.raises(ValueError, match="at least one example"):
+            insertion_probe(params, [], token=cfg.filler_tokens[0])
+
     def test_insertion_untrained_model_reports_without_assertion(self, probe_world):
         cfg, splits, _, params = probe_world
         report = insertion_probe(params, list(splits.annotation)[:2],

@@ -1,0 +1,52 @@
+"""Smoke tests for the shipped configs and demos, without running a demo."""
+
+import argparse
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from rationalift import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _names(paths):
+    return [p.name for p in paths]
+
+
+def test_configs_and_demos_present():
+    assert CONFIGS and DEMOS
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=_names(CONFIGS))
+def test_config_parses_and_builds(path):
+    assert cli.read_config_file(path)
+    cfg = cli.resolve_config(argparse.Namespace(config=str(path)))
+    cli._model_config(cfg)
+    cli._train_config(cfg)
+
+
+def _rationalift_imports(path: Path):
+    """(module, name) for every `from rationalift... import name`; name is None
+    for a plain `import rationalift...`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rationalift":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "rationalift":
+                    yield alias.name, None
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=_names(DEMOS))
+def test_demo_imports_exist(path):
+    imports = list(_rationalift_imports(path))
+    assert imports, f"{path.name} imports nothing from rationalift"
+    for module_name, name in imports:
+        module = importlib.import_module(module_name)
+        if name is not None:
+            assert hasattr(module, name), f"{path.name}: {module_name} has no {name!r}"

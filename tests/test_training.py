@@ -155,15 +155,26 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="non-finite"):
             train(params, splits, _train_cfg(epochs=1))
 
-    def test_selected_params_reproduce_selected_epoch(self, small_world):
+    # dev sparsity by epoch is 0.32, 0.49, 0.85, 0.87, 0.99 (dev acc 0.5, 0.55,
+    # 0.85, 0.65, 1.0) against alpha = 0.5: a band of 0.4 holds epochs 1-4 and
+    # selects epoch 3 over the more accurate epoch 5 outside it; a band of 0.005
+    # holds none, and the nearest sparsity selects epoch 2
+    @pytest.mark.parametrize("delta_sparsity, in_band", [(0.4, True), (0.005, False)],
+                             ids=["in_band", "no_band"])
+    def test_selected_params_reproduce_selected_epoch(self, small_world, delta_sparsity,
+                                                      in_band):
         # retrain with epochs = selected index + 1: end state equals the snapshot
         _, splits, vocab = small_world
-        cfg = _train_cfg(epochs=3, seed=5)
+        kw = dict(seed=3, lr_gen=2e-2, lr_pred=2e-2, delta_sparsity=delta_sparsity,
+                  objective=obj.ObjectiveConfig(lambda1=1.0, lambda2=0.05, alpha=0.5))
+        cfg = _train_cfg(epochs=5, **kw)
         params = _model(vocab, seed=7)
         best, history = train(params, splits, cfg)
         idx = select_model(history, cfg.objective.alpha, cfg.delta_sparsity)
+        assert in_band == any(abs(r.dev_sparsity - 0.5) <= delta_sparsity for r in history)
+        assert idx < cfg.epochs - 1  # the snapshot is not simply the final state
         params2 = _model(vocab, seed=7)
-        best2, _ = train(params2, splits, _train_cfg(epochs=idx + 1, seed=5))
+        train(params2, splits, _train_cfg(epochs=idx + 1, **kw))
         s1, s2 = best.state_dict(), params2.state_dict()
         for k in s1:
             assert np.array_equal(s1[k], s2[k])
