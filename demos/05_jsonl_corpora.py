@@ -62,7 +62,7 @@ print(f"annotation: {len(annotation)} examples, "
 
 vocab = build_vocab(train)
 table = load_embeddings(work / "vectors.txt", vocab, dim=10, seed=0)
-print(f"vocab {len(vocab)} tokens; embedding table {table.vectors.shape}; "
+print(f"vocab {len(vocab)} tokens; embedding table {table.shape}; "
       f"out-of-file rows initialized uniformly in [-0.05, 0.05]")
 
 batches = make_batches(annotation, vocab, batch_size=2, max_len=256)

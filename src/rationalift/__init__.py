@@ -8,7 +8,6 @@ from .data import (
     Batch,
     CorpusError,
     Dataset,
-    EmbeddingTable,
     Example,
     Splits,
     SynthConfig,
@@ -26,7 +25,6 @@ from .evaluation import (
     ProbeReport,
     RationaleMetrics,
     accuracy,
-    degeneration_report,
     evaluate_model,
     insertion_probe,
     lemma3_probe,

@@ -7,8 +7,9 @@ config file > built-in default; the manifest echoes the fully resolved config
 so a run can be replayed without the original shell invocation.
 
 Exit codes: 0 ok, 2 usage, config or corpus error (ConfigError, CorpusError,
-FileNotFoundError), 3 numeric failure.  Any other exception is a bug and
-propagates with its traceback (Python exits 1).
+FileNotFoundError), 3 training failure (DivergenceError: a non-finite loss or
+gradient; PretrainThresholdError: skew pretraining that never passes --k).
+Any other exception is a bug and propagates with its traceback (Python exits 1).
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "hidden_dim": (int, 200),
     "num_layers": (int, 1),
     "share_depth": (int, None),  # None -> num_layers (folded) unless --mode rnp
-    "num_classes": (int, 2),
     "temperature": (float, 1.0),
-    "per_direction": (bool, False),
     "train_embedding": (bool, True),
     # objective
     "lambda1": (float, 1.0),
@@ -152,7 +151,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 @contextmanager
 def _as_config_error():
-    """Report a config object's validation failure as a user-facing ConfigError."""
+    """Report a config object's validation failure, or a checkpoint this version
+    cannot load, as a user-facing ConfigError."""
     try:
         yield
     except ValueError as exc:
@@ -166,9 +166,7 @@ def _model_config(cfg: dict) -> mdl.ModelConfig:
         hidden_dim=cfg["hidden_dim"],
         num_layers=cfg["num_layers"],
         share_depth=cfg["share_depth"],
-        num_classes=cfg["num_classes"],
         temperature=cfg["temperature"],
-        per_direction=cfg["per_direction"],
         train_embedding=cfg["train_embedding"],
     )
 
@@ -335,50 +333,58 @@ def _run_training(
     return run
 
 
-def cmd_train(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    cfg = resolve_config(args)
+def _train_run(
+    args: argparse.Namespace, argv: Sequence[str], cfg: dict, command: str, run_name: str,
+    pretrain=None,
+) -> int:
+    """The set-up and run shared by train and skew: data, run directory,
+    manifest, corpora, the model, an optional `pretrain(params, splits,
+    token_classes) -> manifest entries`, then `_run_training`."""
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
-    out_dir = _run_dir(args, cfg, "train")
-    write_manifest(out_dir, "train", argv, cfg)
+    out_dir = _run_dir(args, cfg, run_name)
+    write_manifest(out_dir, command, argv, cfg)
     _emit_synth_corpora(out_dir, cfg, splits)
     params = mdl.build_model(_model_config(cfg), vocab, embeddings=embeddings, seed=cfg["seed"])
+    extra = pretrain(params, splits, token_classes) if pretrain is not None else None
     run = _run_training(out_dir, cfg, _train_config(cfg), params, splits, token_classes)
+    if extra is not None:
+        _amend_manifest(out_dir, extra)
     print(json.dumps(run.metrics.as_json_dict(), sort_keys=True))
     return 0
 
 
+def cmd_train(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    return _train_run(args, argv, resolve_config(args), "train", "train")
+
+
 def cmd_skew(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = resolve_config(args)
-    if cfg["skew_kind"] not in ("generator", "predictor"):
-        raise ConfigError(f"invalid skew kind {cfg['skew_kind']!r}")
-    if cfg["skew_k"] is None:
+    kind, k = cfg["skew_kind"], cfg["skew_k"]
+    if kind not in ("generator", "predictor"):
+        raise ConfigError(f"invalid skew kind {kind!r}")
+    if k is None:
         raise ConfigError("skew requires --k")
-    splits, vocab, embeddings, token_classes = resolve_data(cfg)
-    out_dir = _run_dir(args, cfg, f"skew-{cfg['skew_kind']}{cfg['skew_k']:g}")
-    write_manifest(out_dir, "skew", argv, cfg)
-    _emit_synth_corpora(out_dir, cfg, splits)
-    params = mdl.build_model(_model_config(cfg), vocab, embeddings=embeddings, seed=cfg["seed"])
     with _as_config_error():
         skew_cfg = training.SkewConfig(
-            mode=f"skewed_{cfg['skew_kind']}",
-            k=cfg["skew_k"],
+            mode=f"skewed_{kind}",
+            k=k,
             batch_size=cfg["skew_batch_size"],
             lr=cfg["skew_lr"],
             predictor_input=cfg["skew_predictor_input"],
             epoch_cap=cfg["skew_epoch_cap"],
             seed=cfg["seed"],
         )
-    extra: dict = {"skew": {"kind": cfg["skew_kind"], "k": cfg["skew_k"]}}
-    if cfg["skew_kind"] == "generator":
-        params, pre_acc = training.pretrain_skewed_generator(params, splits, skew_cfg)
-        extra["pre_acc"] = pre_acc
-    else:
-        training.pretrain_skewed_predictor(params, splits, skew_cfg, token_classes=token_classes)
-        extra["pretrain_epochs"] = int(cfg["skew_k"])
-    run = _run_training(out_dir, cfg, _train_config(cfg), params, splits, token_classes)
-    _amend_manifest(out_dir, extra)
-    print(json.dumps(run.metrics.as_json_dict(), sort_keys=True))
-    return 0
+
+    def pretrain(params: mdl.ModelParams, splits: data.Splits, token_classes) -> dict:
+        extra: dict = {"skew": {"kind": kind, "k": k}}
+        if kind == "generator":
+            extra["pre_acc"] = training.pretrain_skewed_generator(params, splits, skew_cfg)[1]
+        else:
+            training.pretrain_skewed_predictor(params, splits, skew_cfg, token_classes)
+            extra["pretrain_epochs"] = int(k)
+        return extra
+
+    return _train_run(args, argv, cfg, "skew", f"skew-{kind}{k:g}", pretrain)
 
 
 def _parse_list(raw: str, flag: str, typ: type) -> list:
@@ -421,7 +427,7 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
         final.unlink(missing_ok=True)  # a stale result must not outlive the new manifest
         write_manifest(cell_dir, "train", argv, cell_cfg)
         run = _run_training(cell_dir, cell_cfg, train_cfg, params, splits, token_classes)
-        return run.metrics.as_json_dict()["F1"]
+        return run.metrics.f1
 
     median = training.lr_grid(
         _model_config(cfg), vocab, splits, _train_config(cfg), gen_rates, pred_rates, seeds,
@@ -477,7 +483,8 @@ def cmd_probe(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = resolve_config(args)
     if args.max_examples < 1:
         raise ConfigError(f"--max-examples must be at least 1, got {args.max_examples}")
-    params, _ = mdl.load_checkpoint(args.checkpoint)  # FileNotFoundError names the path
+    with _as_config_error():  # FileNotFoundError names the path
+        params, _ = mdl.load_checkpoint(args.checkpoint)
     out_dir = Path(args.out) if args.out else _out_root() / f"probe-{args.probe}"
     out_dir.mkdir(parents=True, exist_ok=True)
     token_classes = None
@@ -516,7 +523,8 @@ def cmd_probe(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_eval(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = resolve_config(args)
-    params, _ = mdl.load_checkpoint(args.checkpoint)
+    with _as_config_error():
+        params, _ = mdl.load_checkpoint(args.checkpoint)
     splits, _, _, _ = resolve_data(cfg)
     dataset = {"train": splits.train, "dev": splits.dev, "annotation": splits.annotation}[
         args.split
@@ -604,8 +612,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except training.DivergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (training.DivergenceError, training.PretrainThresholdError) as exc:
+        print(f"training failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, data.CorpusError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ MASK_ID = 1
 BEER_ASPECTS = ("appearance", "aroma", "palate")
 HOTEL_ASPECTS = ("location", "service", "cleanliness")
 
-# synthetic vocabulary classes, also used by evaluation.degeneration_report
+# synthetic vocabulary classes, also used by evaluation.selection_composition
 CLASS_INFORMATIVE = "informative"
 CLASS_FILLER = "filler"
 CLASS_MARKER = "marker"
@@ -172,29 +172,9 @@ def build_vocab(datasets: Iterable[Dataset] | Dataset, min_freq: int = 1) -> Voc
     return Vocabulary.from_tokens(kept)
 
 
-@dataclass
-class EmbeddingTable:
-    """|V| x d word-vector matrix; PAD and MASK rows are pinned to zero."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise CorpusError("embedding table must be 2-dimensional")
-        self.zero_reserved()
-
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
-
-    def zero_reserved(self) -> None:
-        self.vectors[PAD_ID] = 0.0
-        self.vectors[MASK_ID] = 0.0
-
-
-def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingTable:
-    """Load pretrained vectors in the standard "word f1 ... fd" text format.
+def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
+    """Load pretrained vectors in the standard "word f1 ... fd" text format
+    into a |V| x dim table.
 
     In-vocabulary tokens absent from the file are initialized uniformly in
     [-0.05, 0.05] from `seed`; PAD and MASK rows are zeroed after the load no
@@ -217,7 +197,9 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int, seed: int = 0
                     f"expected {dim} values, got {len(values)}"
                 )
             vectors[vocab.token_to_id[token]] = [float(v) for v in values]
-    return EmbeddingTable(vectors)
+    vectors[PAD_ID] = 0.0
+    vectors[MASK_ID] = 0.0
+    return vectors
 
 
 # ---------------------------------------------------------------------------

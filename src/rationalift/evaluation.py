@@ -38,9 +38,9 @@ class RationaleMetrics:
     f1: Optional[float] = None
 
     def as_json_dict(self) -> dict[str, float]:
-        out = {"S": round(self.s, 6), "Acc": round(self.acc, 6)}
+        out = {"S": self.s, "Acc": self.acc}
         if self.p is not None:
-            out.update({"P": round(self.p, 6), "R": round(self.r, 6), "F1": round(self.f1, 6)})
+            out.update({"P": self.p, "R": self.r, "F1": self.f1})
         return out
 
 
@@ -111,15 +111,13 @@ class EvalRun:
     token_rows: list[tuple[str, ...]] = field(default_factory=list)
 
 
-def evaluate_model(
-    params: mdl.ModelParams,
-    dataset: Dataset,
-    batch_size: int = 256,
-    max_len: int = 256,
-    average: str = "micro",
-) -> EvalRun:
-    """Run the model deterministically (threshold masks) and score it."""
-    batches = make_batches(dataset, params.vocab, batch_size, max_len=max_len, shuffle=False)
+EVAL_BATCH_SIZE = 256
+
+
+def evaluate_model(params: mdl.ModelParams, dataset: Dataset, max_len: int = 256) -> EvalRun:
+    """Run the model deterministically (threshold masks) and score it; P/R/F1
+    are micro-averaged over tokens."""
+    batches = make_batches(dataset, params.vocab, EVAL_BATCH_SIZE, max_len=max_len)
     ids: list[str] = []
     masks: list[np.ndarray] = []
     gold: Optional[list[np.ndarray]] = [] if dataset.has_gold() else None
@@ -143,7 +141,7 @@ def evaluate_model(
     s = sparsity(masks, lengths)
     acc = accuracy(logits_arr, labels_arr)
     if gold is not None:
-        p, r, f1 = token_prf(masks, gold, average=average)
+        p, r, f1 = token_prf(masks, gold)
         metrics = RationaleMetrics(s=s, acc=acc, p=p, r=r, f1=f1)
     else:
         metrics = RationaleMetrics(s=s, acc=acc)
@@ -196,14 +194,6 @@ def marker_inclusion_rate(
         if any(m and c == CLASS_MARKER for m, c in zip(mask, classes)):
             hits += 1
     return hits / bearing if bearing else 0.0
-
-
-def degeneration_report(
-    per_epoch_masks: Sequence[Sequence[Sequence[int]]],
-    token_class_rows: Sequence[Sequence[str]],
-) -> list[dict[str, float]]:
-    """Per-epoch selection composition by token class."""
-    return [selection_composition(masks, token_class_rows) for masks in per_epoch_masks]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import objective as obj
-from .data import MASK_ID, PAD_ID, Batch, EmbeddingTable, Vocabulary
+from .data import MASK_ID, PAD_ID, Batch, Vocabulary
+
+NUM_CLASSES = 2  # labels are 0 and 1
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -61,18 +63,14 @@ class Parameter:
 @dataclass(frozen=True)
 class ModelConfig:
     embedding_dim: int = 100
-    hidden_dim: int = 200
+    hidden_dim: int = 200  # per-token state width, both GRU directions together
     num_layers: int = 1
     share_depth: int = 1
-    num_classes: int = 2
     temperature: float = 1.0
-    # hidden_dim names the total per-token width by default; set per_direction
-    # to make it the width of each GRU direction instead.
-    per_direction: bool = False
     train_embedding: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.embedding_dim, self.hidden_dim, self.num_layers, self.num_classes) < 1:
+        if min(self.embedding_dim, self.hidden_dim, self.num_layers) < 1:
             raise ValueError("all dimensions must be positive")
         if not 0 <= self.share_depth <= self.num_layers:
             raise ValueError(
@@ -80,16 +78,8 @@ class ModelConfig:
             )
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if not self.per_direction and self.hidden_dim % 2:
-            raise ValueError("hidden_dim must be even when it names the total width")
-
-    @property
-    def direction_dim(self) -> int:
-        return self.hidden_dim if self.per_direction else self.hidden_dim // 2
-
-    @property
-    def state_dim(self) -> int:
-        return 2 * self.direction_dim
+        if self.hidden_dim % 2:
+            raise ValueError("hidden_dim must be even: it is split between two directions")
 
     @property
     def is_folded(self) -> bool:
@@ -100,7 +90,15 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, payload: str) -> "ModelConfig":
-        return cls(**json.loads(payload))
+        """Also reads configs saved with the former `per_direction` and
+        `num_classes` keys; the model is binary, so only num_classes 2 loads."""
+        fields = json.loads(payload)
+        if fields.pop("per_direction", False):  # hidden_dim was each direction's width
+            fields["hidden_dim"] *= 2
+        num_classes = fields.pop("num_classes", NUM_CLASSES)
+        if num_classes != NUM_CLASSES:
+            raise ValueError(f"num_classes must be {NUM_CLASSES}, got {num_classes}")
+        return cls(**fields)
 
 
 class GRUDirection:
@@ -299,7 +297,7 @@ class ModelParams:
 def build_model(
     cfg: ModelConfig,
     vocab: Vocabulary,
-    embeddings: Optional[EmbeddingTable | np.ndarray] = None,
+    embeddings: Optional[np.ndarray] = None,
     seed: int = 0,
 ) -> ModelParams:
     """Initialize parameters from `seed` and establish the sharing aliases."""
@@ -307,8 +305,7 @@ def build_model(
     if embeddings is None:
         table = rng.uniform(-0.05, 0.05, size=(len(vocab), cfg.embedding_dim))
     else:
-        table = embeddings.vectors if isinstance(embeddings, EmbeddingTable) else embeddings
-        table = np.array(table, dtype=np.float64)
+        table = np.array(embeddings, dtype=np.float64)
         if table.shape != (len(vocab), cfg.embedding_dim):
             raise ValueError(
                 f"embedding table shape {table.shape} does not match "
@@ -318,19 +315,20 @@ def build_model(
     table[MASK_ID] = 0.0
     embedding = Parameter("embedding", table)
 
-    dims = [cfg.embedding_dim] + [cfg.state_dim] * (cfg.num_layers - 1)
+    dims = [cfg.embedding_dim] + [cfg.hidden_dim] * (cfg.num_layers - 1)
+    direction_dim = cfg.hidden_dim // 2
     gen_layers: list[BiGRULayer] = []
     pred_layers: list[BiGRULayer] = []
     for i in range(cfg.num_layers):
         prefix = "enc_shared" if i < cfg.share_depth else "enc_gen"
-        gen_layers.append(BiGRULayer(f"{prefix}.l{i}", dims[i], cfg.direction_dim, rng))
+        gen_layers.append(BiGRULayer(f"{prefix}.l{i}", dims[i], direction_dim, rng))
     for i in range(cfg.num_layers):
         if i < cfg.share_depth:
             pred_layers.append(gen_layers[i])
         else:
-            pred_layers.append(BiGRULayer(f"enc_pred.l{i}", dims[i], cfg.direction_dim, rng))
-    gen_head = Linear("gen_head", cfg.state_dim, 1, rng)
-    pred_head = Linear("pred_head", cfg.state_dim, cfg.num_classes, rng)
+            pred_layers.append(BiGRULayer(f"enc_pred.l{i}", dims[i], direction_dim, rng))
+    gen_head = Linear("gen_head", cfg.hidden_dim, 1, rng)
+    pred_head = Linear("pred_head", cfg.hidden_dim, NUM_CLASSES, rng)
     params = ModelParams(
         config=cfg,
         vocab=vocab,
@@ -380,13 +378,11 @@ def generator_probs(params: ModelParams, states: np.ndarray, pad_mask: np.ndarra
 
 @dataclass
 class MaskSample:
-    """One mask draw: probabilities, the hard binary mask, and the relaxed
-    value at the same noise draw."""
+    """One mask draw: the hard binary mask and the relaxed value at the same
+    noise draw."""
 
-    probs: np.ndarray
     hard_mask: np.ndarray
     soft_mask: np.ndarray
-    temperature: float
 
 
 def _sample(
@@ -414,10 +410,9 @@ def _sample(
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     if pad_mask is not None:
-        probs = probs * pad_mask
         hard = hard * pad_mask
         soft = soft * pad_mask
-    return MaskSample(probs=probs, hard_mask=hard, soft_mask=soft, temperature=temperature)
+    return MaskSample(hard_mask=hard, soft_mask=soft)
 
 
 def sample_mask(
@@ -490,9 +485,6 @@ class ForwardResult:
     logits: np.ndarray
     mask: MaskSample
     mask_values: np.ndarray  # the values the predictor and regularizer consumed
-    gen_states: np.ndarray
-    pred_states: np.ndarray
-    pooled: np.ndarray
     cache: Optional[dict] = None
 
 
@@ -540,22 +532,12 @@ def forward(
             "emb_full": emb_full,
             "gen_caches": gen_caches,
             "gen_states": gen_states,
-            "gen_logits": gen_logits,
             "pred_caches": pred_caches,
-            "pred_states": pred_states,
             "pool": pool_cache,
             "pooled": pooled,
             "forced": force_mask is not None,
         }
-    return ForwardResult(
-        logits=logits,
-        mask=sample,
-        mask_values=mask_values,
-        gen_states=gen_states,
-        pred_states=pred_states,
-        pooled=pooled,
-        cache=cache,
-    )
+    return ForwardResult(logits=logits, mask=sample, mask_values=mask_values, cache=cache)
 
 
 @dataclass

@@ -17,7 +17,7 @@ logger = logging.getLogger(__name__)
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or a gradient became non-finite."""
 
 
 class PretrainThresholdError(RuntimeError):
@@ -32,7 +32,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 20
     seed: int = 0
-    temperature: Optional[float] = None  # overrides the model config when set
     max_len: int = 256
     grad_clip: Optional[float] = None
     delta_sparsity: float = 0.05
@@ -63,7 +62,6 @@ class SkewConfig:
     lr: float = 1e-3
     predictor_input: str = "first_sentence"  # or "marker_only"
     epoch_cap: int = 20
-    first_sentence_cap: int = 15
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -221,8 +219,6 @@ def train(
     shared with lr_shared (lr_gen unless set).  Fully deterministic given the
     config seed.
     """
-    if cfg.temperature is not None and cfg.temperature != params.config.temperature:
-        params.config = replace(params.config, temperature=cfg.temperature)
     if cfg.epochs == 0:
         return params, []
     optimizer = make_optimizer(params, cfg)
@@ -252,6 +248,11 @@ def train(
                     f"non-finite loss at epoch {epoch_idx + 1}: "
                     f"ce={loss.ce}, omega={loss.omega}"
                 )
+            for p in optimizer.parameters():
+                if not np.isfinite(p.grad).all():
+                    raise DivergenceError(
+                        f"non-finite gradient of {p.name} at epoch {epoch_idx + 1}"
+                    )
             if cfg.grad_clip is not None:
                 clip_gradients(optimizer.parameters(), cfg.grad_clip)
             optimizer.step()
@@ -284,12 +285,16 @@ def train(
 _ZERO_OBJECTIVE = obj.ObjectiveConfig(lambda1=0.0, lambda2=0.0, alpha=0.0)
 
 
-def first_sentence_length(tokens: Sequence[str], cap: int = 15) -> int:
-    """Tokens up to and including the first ".", capped at `cap`."""
-    for i, tok in enumerate(tokens[:cap]):
-        if tok == ".":
+FIRST_SENTENCE_CAP = 15
+
+
+def first_sentence_length(tokens: Sequence, period=".") -> int:
+    """Tokens up to and including the first `period` (a token or its id),
+    capped at FIRST_SENTENCE_CAP."""
+    for i, tok in enumerate(tokens[:FIRST_SENTENCE_CAP]):
+        if tok == period:
             return i + 1
-    return min(cap, len(tokens))
+    return min(FIRST_SENTENCE_CAP, len(tokens))
 
 
 def _predictor_pretrain_mask(
@@ -297,16 +302,10 @@ def _predictor_pretrain_mask(
 ) -> np.ndarray:
     mask = np.zeros_like(batch.pad_mask)
     if skew.predictor_input == "first_sentence":
-        period = vocab.token_to_id.get(".")
+        period = vocab.token_to_id.get(".")  # None matches no id
         for row in range(len(batch)):
-            n = int(batch.lengths[row])
-            limit = min(skew.first_sentence_cap, n)
-            cut = limit
-            if period is not None:
-                hits = np.where(batch.token_ids[row, :limit] == period)[0]
-                if hits.size:
-                    cut = int(hits[0]) + 1
-            mask[row, :cut] = 1.0
+            ids = batch.token_ids[row, : int(batch.lengths[row])].tolist()
+            mask[row, : first_sentence_length(ids, period)] = 1.0
     else:  # marker_only
         if token_classes is None:
             raise ValueError("marker_only pretraining needs a token-class map")
@@ -351,12 +350,19 @@ def pretrain_skewed_predictor(
     return params
 
 
+def _first_token_probs(params: mdl.ModelParams, batch) -> tuple[np.ndarray, np.ndarray, list]:
+    """The generator's selection probability of each document's first token,
+    read as P(label = 1), with the generator states and caches behind it."""
+    emb = params.embedding.value[batch.token_ids]
+    states, caches = mdl.encode(params.gen_layers, emb, batch.pad_mask, with_cache=True)
+    p0 = mdl.sigmoid(params.gen_head.forward(states)[..., 0][:, 0])
+    return p0, states, caches
+
+
 def _first_token_accuracy(params: mdl.ModelParams, dataset: Dataset, batch_size: int) -> float:
     correct = total = 0
     for batch in make_batches(dataset, params.vocab, batch_size, shuffle=False):
-        emb = params.embedding.value[batch.token_ids]
-        states = mdl.encode(params.gen_layers, emb, batch.pad_mask)
-        p0 = mdl.sigmoid(params.gen_head.forward(states)[..., 0][:, 0])
+        p0, _, _ = _first_token_probs(params, batch)
         correct += int(np.sum((p0 > 0.5).astype(int) == batch.labels))
         total += len(batch)
     return correct / total
@@ -387,11 +393,7 @@ def pretrain_skewed_generator(
         )
         for batch in batches:
             optimizer.zero_grad()
-            emb = params.embedding.value[batch.token_ids]
-            states, caches = mdl.encode(
-                params.gen_layers, emb, batch.pad_mask, with_cache=True
-            )
-            p0 = mdl.sigmoid(params.gen_head.forward(states)[..., 0][:, 0])
+            p0, states, caches = _first_token_probs(params, batch)
             da0 = (p0 - batch.labels) / len(batch)  # sigmoid + BCE
             params.gen_head.W.grad += (da0[:, None] * states[:, 0, :]).sum(axis=0)[None, :]
             params.gen_head.b.grad += da0.sum()

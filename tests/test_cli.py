@@ -55,6 +55,13 @@ class TestConfigFile:
         assert cli.main(["train", "--config", str(path)]) == 2
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["num_classes = 2", "per_direction = false"])
+    def test_removed_model_keys_rejected(self, tmp_path, capsys, line):
+        path = tmp_path / "old.cfg"
+        path.write_text(TINY_SYNTH + line + "\n")
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
     def test_type_error_names_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("epochs = soon\n")
@@ -128,6 +135,15 @@ class TestSkewCommand:
         assert cli.main(["skew", "--config", str(synth_cfg), "--kind", "both",
                          "--k", "1"]) == 2
 
+    def test_unreached_threshold_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "skew.cfg"
+        path.write_text(TINY_SYNTH + "skew_epoch_cap = 1\n")
+        code = cli.main(["skew", "--config", str(path), "--kind", "generator",
+                         "--k", "0.99", "--out", str(tmp_path / "skew")])
+        assert code == 3
+        assert "never exceeded 0.99" in capsys.readouterr().err
+        assert not (tmp_path / "skew" / "final.json").exists()
+
 
 class TestGridCommand:
     def test_grid_children_and_outputs(self, synth_cfg, tmp_path):
@@ -165,23 +181,31 @@ class TestGridCommand:
         assert json.loads((cell / "manifest.json").read_text())["resolved_config"]["epochs"] == 2
 
     def test_medians_equal_lr_grid(self, synth_cfg, tmp_path):
+        # two seeds: each median is the mean of two cell scores, which equals
+        # lr_grid's only if the CLI scores cells by their unrounded F1
         out = tmp_path / "grid4"
-        gen_rates, pred_rates, seeds = [2e-3], [1e-3, 4e-4], [0, 1, 2]
-        assert cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "2e-3",
-                         "--pred-rates", "1e-3,4e-4", "--seeds", "0,1,2",
-                         "--out", str(out), "--epochs", "1"]) == 0
+        gen_rates, pred_rates, seeds = [2e-3], [1e-3, 4e-4], [0, 1]
+        argv = ["grid", "--config", str(synth_cfg), "--gen-rates", "2e-3",
+                "--pred-rates", "1e-3,4e-4", "--seeds", "0,1", "--out", str(out),
+                "--epochs", "1"]
+        assert cli.main(argv) == 0
         cfg = cli.resolve_config(argparse.Namespace(config=str(synth_cfg), epochs=1, mode="rnp"))
         splits, vocab, embeddings, _ = cli.resolve_data(cfg)
         result = training.lr_grid(cli._model_config(cfg), vocab, splits, cli._train_config(cfg),
                                   gen_rates, pred_rates, seeds, embeddings=embeddings)
-        # a CLI cell is scored by its final.json F1, which keeps 6 decimals; with an
-        # odd number of seeds each median is one cell's score, so rounding commutes
-        rounded = [[round(f, 6) for f in row] for row in result.median_f1.tolist()]
-        assert json.loads((out / "grid.json").read_text())["median_f1"] == rounded
+        assert json.loads((out / "grid.json").read_text())["median_f1"] == (
+            result.median_f1.tolist()
+        )
         for (i, j), scores in result.cells.items():
             for seed, f1 in scores:
                 cell = out / f"cell-g{gen_rates[i]:g}-p{pred_rates[j]:g}-s{seed}"
-                assert json.loads((cell / "final.json").read_text())["F1"] == round(f1, 6)
+                assert json.loads((cell / "final.json").read_text())["F1"] == f1
+        # a resumed grid reads its cells back from final.json and agrees too
+        (out / "grid.json").unlink()
+        assert cli.main(argv) == 0
+        assert json.loads((out / "grid.json").read_text())["median_f1"] == (
+            result.median_f1.tolist()
+        )
 
     def test_empty_rate_list_exits_2(self, synth_cfg, capsys):
         assert cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "",
@@ -299,6 +323,19 @@ class TestProbeCommand:
 
 
 class TestEvalCommand:
+    def test_unloadable_checkpoint_exits_2(self, synth_cfg, trained_checkpoint, tmp_path,
+                                           capsys):
+        with np.load(trained_checkpoint) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        config = json.loads(str(arrays["__config__"]))
+        arrays["__config__"] = np.array(json.dumps(dict(config, num_classes=3)))
+        ckpt = tmp_path / "three_classes.npz"
+        np.savez(ckpt, **arrays)
+        code = cli.main(["eval", "--config", str(synth_cfg), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert "num_classes" in capsys.readouterr().err
+
     def test_annotation_metrics_complete(self, synth_cfg, trained_checkpoint, tmp_path):
         out = tmp_path / "eval"
         code = cli.main(["eval", "--config", str(synth_cfg),

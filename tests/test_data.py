@@ -189,7 +189,7 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("good " + " ".join(str(0.1 * i) for i in range(4)) + "\n")
         table = load_embeddings(path, vocab, 4, seed=0)
-        assert table.vectors[vocab.token_to_id["good"]] == pytest.approx(
+        assert table[vocab.token_to_id["good"]] == pytest.approx(
             [0.0, 0.1, 0.2, 0.3]
         )
 
@@ -198,7 +198,7 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("")
         table = load_embeddings(path, vocab, 8, seed=3)
-        rows = table.vectors[2:]  # 1000 out-of-file tokens
+        rows = table[2:]  # 1000 out-of-file tokens
         assert np.all(rows >= -0.05) and np.all(rows <= 0.05)
 
     def test_mask_row_zero_even_if_in_file(self, tmp_path):
@@ -206,8 +206,8 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("<mask> 1.0 1.0\n<pad> 1.0 1.0\nx 0.5 0.5\n")
         table = load_embeddings(path, vocab, 2, seed=0)
-        assert np.all(table.vectors[MASK_ID] == 0.0)
-        assert np.all(table.vectors[PAD_ID] == 0.0)
+        assert np.all(table[MASK_ID] == 0.0)
+        assert np.all(table[PAD_ID] == 0.0)
 
     def test_dimension_mismatch_names_token(self, tmp_path):
         vocab = Vocabulary.from_tokens(["good"])

@@ -1,5 +1,8 @@
 """Model pipeline: shapes, sampling law, masking identities, gradients, persistence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,9 @@ from rationalift.model import (
     sample_mask,
     save_checkpoint,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_checkpoint.npz"
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +292,7 @@ class TestPoolingAndPredict:
 
     def test_predict_shape(self, tiny_world):
         _, splits, vocab = tiny_world
-        cfg = ModelConfig(embedding_dim=4, hidden_dim=6, num_classes=2)
+        cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
         params = build_model(cfg, vocab, seed=0)
         batch = _tiny_batch(splits, vocab)
         logits = predict(params, params.embedding.value[batch.token_ids], batch.pad_mask)
@@ -469,3 +475,36 @@ class TestCheckpoint:
         a = forward(params, batch, mode="eval")
         b = forward(loaded, batch, mode="eval")
         assert np.array_equal(a.logits, b.logits)
+
+    def test_golden_checkpoint_reproduces_logits_and_mask(self):
+        """tests/data/golden_checkpoint.npz was written by `save_checkpoint` at
+        commit eed77c2, whose ModelConfig still had `per_direction` (saved as
+        false) and `num_classes` (saved as 2).  The model is
+        `build_model(ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=2,
+        share_depth=1, temperature=0.8), vocab, seed=7)` over the vocabulary of
+        the `tiny_world` corpus, so both shared (`enc_shared.l0`) and unshared
+        (`enc_gen.l1`, `enc_pred.l1`) layer names occur.  Its meta holds one
+        batch, the first four training documents cut to 7, 5, 3 and 1 tokens
+        (one BLAS thread), and that batch's eval-mode `forward` logits and hard
+        mask, which the loaded model must reproduce bit for bit."""
+        params, meta = load_checkpoint(GOLDEN)
+        assert params.config == ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=2,
+                                            share_depth=1, temperature=0.8)
+        names = {p.name for p in params.all_parameters()}
+        assert {"enc_shared.l0.fw.W", "enc_gen.l1.bw.U", "enc_pred.l1.fw.W"} <= names
+        b = meta["batch"]
+        batch = Batch(ids=tuple(b["ids"]), token_ids=np.array(b["token_ids"], dtype=np.int32),
+                      pad_mask=np.array(b["pad_mask"]), lengths=np.array(b["lengths"]),
+                      labels=np.array(b["labels"]))
+        out = forward(params, batch, mode="eval")
+        assert np.array_equal(out.logits, np.array(meta["logits"]))
+        assert np.array_equal(out.mask.hard_mask, np.array(meta["hard_mask"]))
+
+    def test_legacy_config_keys(self):
+        legacy = dict(embedding_dim=4, hidden_dim=3, num_layers=1, share_depth=1,
+                      temperature=1.0, train_embedding=True)
+        # per_direction made hidden_dim the width of each direction
+        cfg = ModelConfig.from_json(json.dumps(dict(legacy, per_direction=True, num_classes=2)))
+        assert cfg == ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=1, share_depth=1)
+        with pytest.raises(ValueError, match="num_classes"):
+            ModelConfig.from_json(json.dumps(dict(legacy, hidden_dim=6, num_classes=3)))

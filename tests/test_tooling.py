@@ -5,9 +5,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rationalift import cli
+from rationalift import cli, data, evaluation, model, objective, training
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -50,3 +51,21 @@ def test_demo_imports_exist(path):
         module = importlib.import_module(module_name)
         if name is not None:
             assert hasattr(module, name), f"{path.name}: {module_name} has no {name!r}"
+
+
+def test_benchmark_trace_sites_exist(monkeypatch):
+    """Every (owner, attribute) site the benchmark's tracer wraps exists, and a
+    BiGRU layer has the attributes its hooks read, so renaming one fails here
+    rather than in a benchmark run.  perfbench/ is only read."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracing = importlib.import_module("perfbench.tracing")
+    targets = tracing.library_targets(data, model, objective, training, evaluation, cli)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for target in targets
+        for owner, attr in target.sites
+        if attr not in vars(owner)
+    ]
+    assert not missing
+    layer = model.BiGRULayer("probe", 4, 3, np.random.default_rng(0))
+    assert (layer.fw.hidden, layer.input_dim) == (3, 4)

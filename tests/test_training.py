@@ -155,6 +155,24 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="non-finite"):
             train(params, splits, _train_cfg(epochs=1))
 
+    def test_non_finite_gradient_aborts_before_step(self, small_world, monkeypatch):
+        # the loss stays finite; one gradient is poisoned after the backward pass
+        _, splits, vocab = small_world
+        params = _model(vocab)
+        before = params.state_dict()
+        backward = mdl.loss_and_grads
+
+        def poisoned(params, *args, **kwargs):
+            loss = backward(params, *args, **kwargs)
+            params.gen_head.b.grad[...] = np.nan
+            return loss
+
+        monkeypatch.setattr(mdl, "loss_and_grads", poisoned)
+        with pytest.raises(DivergenceError, match="gen_head.b"):
+            train(params, splits, _train_cfg(epochs=1, batch_size=len(splits.train)))
+        for name, value in params.state_dict().items():
+            assert np.array_equal(value, before[name]), name  # Adam never stepped
+
     # dev sparsity by epoch is 0.32, 0.49, 0.85, 0.87, 0.99 (dev acc 0.5, 0.55,
     # 0.85, 0.65, 1.0) against alpha = 0.5: a band of 0.4 holds epochs 1-4 and
     # selects epoch 3 over the more accurate epoch 5 outside it; a band of 0.005
@@ -207,6 +225,7 @@ class TestPartitions:
 class TestFirstSentence:
     def test_period_bounds_sentence(self):
         assert first_sentence_length(["a", "b", ".", "c"]) == 3
+        assert first_sentence_length([4, 7, 2, 9], period=2) == 3  # token ids
 
     def test_cap_applies_without_period(self):
         assert first_sentence_length([f"t{i}" for i in range(30)]) == 15
