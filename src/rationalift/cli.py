@@ -571,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_skew)
     p_skew.add_argument("--kind", choices=["generator", "predictor"], required=True)
     p_skew.add_argument(
-        "--k", type=float, required=True, help="accuracy threshold (generator) or epochs (predictor)"
+        "--k", type=float, required=True,
+        help="accuracy threshold (generator) or whole number of epochs (predictor)",
     )
     p_skew.set_defaults(func=cmd_skew)
 

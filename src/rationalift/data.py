@@ -81,9 +81,18 @@ class Dataset:
     split: str
     examples: tuple[Example, ...]
     aspect: str = ""
+    # id(vocab) -> (vocab, per-example token ids); holding the vocabulary keeps its id unique
+    _encoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "examples", tuple(self.examples))
+
+    def token_ids(self, vocab: "Vocabulary") -> list[np.ndarray]:
+        """Every example's token ids under `vocab`, encoded on the first call
+        only: training re-batches the same splits every epoch."""
+        if id(vocab) not in self._encoded:
+            self._encoded[id(vocab)] = (vocab, [vocab.encode(ex.tokens) for ex in self.examples])
+        return self._encoded[id(vocab)][1]
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -430,9 +439,11 @@ def make_batches(
             truncated,
             max_len,
         )
+    encoded = dataset.token_ids(vocab)
     batches = []
     for start in range(0, len(dataset), batch_size):
-        chunk = [dataset[int(i)] for i in order[start : start + batch_size]]
+        rows = order[start : start + batch_size]
+        chunk = [dataset[int(i)] for i in rows]
         lengths = np.array([min(len(ex), max_len) for ex in chunk], dtype=np.int64)
         width = int(lengths.max())
         token_ids = np.full((len(chunk), width), PAD_ID, dtype=np.int32)
@@ -440,7 +451,7 @@ def make_batches(
         gold = np.zeros((len(chunk), width), dtype=np.int8) if with_gold else None
         for row, ex in enumerate(chunk):
             n = int(lengths[row])
-            token_ids[row, :n] = vocab.encode(ex.tokens[:n])
+            token_ids[row, :n] = encoded[rows[row]][:n]
             pad_mask[row, :n] = 1.0
             if gold is not None:
                 gold[row, :n] = ex.gold_mask[:n]

@@ -13,6 +13,13 @@ folded variant), so one update moves both views by construction.
 
 All gradients are computed explicitly; `loss_and_grads` accumulates into each
 Parameter's `.grad`.
+
+`BiGRULayer` advances both GRU directions in one shared step loop (step s is
+time s forward and time L-1-s backward), with one batched recurrent matmul
+per step.  Its forward cache serves exactly one backward, which reuses the
+cached gate buffer for the gate gradients and empties the cache; forwards
+that need no gradient (`with_cache=False`, the default of `encode` and
+`forward`) keep no per-step state.
 """
 
 from __future__ import annotations
@@ -31,12 +38,10 @@ NUM_CLASSES = 2  # labels are 0 and 1
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function.  exp only sees min(x, -x) = -|x|, so it never
+    overflows; unlike -|x|, the min passes a NaN through with its sign bit."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class Parameter:
@@ -102,7 +107,8 @@ class ModelConfig:
 
 
 class GRUDirection:
-    """One direction of a GRU layer (gate order r, z, n; two bias vectors)."""
+    """The parameters of one direction of a GRU layer (gate order r, z, n; two
+    bias vectors).  `BiGRULayer` runs the recurrence of both directions."""
 
     def __init__(self, name: str, input_dim: int, hidden: int, rng: np.random.Generator):
         k = 1.0 / np.sqrt(hidden)
@@ -116,80 +122,21 @@ class GRUDirection:
     def parameters(self) -> list[Parameter]:
         return [self.W, self.U, self.b_ih, self.b_hh]
 
-    def forward(self, x: np.ndarray, pad_mask: np.ndarray, reverse: bool):
-        """Run the recurrence; padded steps hold the previous state."""
-        B, L, _ = x.shape
-        H = self.hidden
-        pre_x = x.reshape(B * L, -1) @ self.W.value.T
-        pre_x = pre_x.reshape(B, L, 3 * H) + self.b_ih.value
-        h = np.zeros((B, H))
-        out = np.empty((B, L, H))
-        r_c = np.empty((B, L, H))
-        z_c = np.empty((B, L, H))
-        n_c = np.empty((B, L, H))
-        hprev_c = np.empty((B, L, H))
-        pre_hn_c = np.empty((B, L, H))
-        steps = range(L - 1, -1, -1) if reverse else range(L)
-        for t in steps:
-            pre_h = h @ self.U.value.T + self.b_hh.value
-            r = sigmoid(pre_x[:, t, :H] + pre_h[:, :H])
-            z = sigmoid(pre_x[:, t, H : 2 * H] + pre_h[:, H : 2 * H])
-            pre_hn = pre_h[:, 2 * H :]
-            n = np.tanh(pre_x[:, t, 2 * H :] + r * pre_hn)
-            h_cand = (1.0 - z) * n + z * h
-            m = pad_mask[:, t, None]
-            hprev_c[:, t] = h
-            h = m * h_cand + (1.0 - m) * h
-            out[:, t] = h
-            r_c[:, t] = r
-            z_c[:, t] = z
-            n_c[:, t] = n
-            pre_hn_c[:, t] = pre_hn
-        cache = {"x": x, "r": r_c, "z": z_c, "n": n_c, "hprev": hprev_c, "pre_hn": pre_hn_c}
-        return out, cache
 
-    def backward(self, cache: dict, dout: np.ndarray, pad_mask: np.ndarray, reverse: bool):
-        B, L, H = dout.shape
-        x = cache["x"]
-        dpre_x = np.zeros((B, L, 3 * H))
-        dU = np.zeros_like(self.U.value)
-        db_hh = np.zeros_like(self.b_hh.value)
-        dh = np.zeros((B, H))
-        steps = range(L) if reverse else range(L - 1, -1, -1)
-        for t in steps:
-            dh = dh + dout[:, t]
-            m = pad_mask[:, t, None]
-            h_prev = cache["hprev"][:, t]
-            r = cache["r"][:, t]
-            z = cache["z"][:, t]
-            n = cache["n"][:, t]
-            pre_hn = cache["pre_hn"][:, t]
-            dh_cand = m * dh
-            dh_prev = (1.0 - m) * dh + dh_cand * z
-            dn = dh_cand * (1.0 - z)
-            dz = dh_cand * (h_prev - n)
-            dan = dn * (1.0 - n * n)
-            dr = dan * pre_hn
-            dpre_hn = dan * r
-            dar = dr * r * (1.0 - r)
-            daz = dz * z * (1.0 - z)
-            dpre_x[:, t, :H] = dar
-            dpre_x[:, t, H : 2 * H] = daz
-            dpre_x[:, t, 2 * H :] = dan
-            dpre_h = np.concatenate([dar, daz, dpre_hn], axis=1)
-            dU += dpre_h.T @ h_prev
-            db_hh += dpre_h.sum(axis=0)
-            dh = dh_prev + dpre_h @ self.U.value
-        flat = dpre_x.reshape(B * L, 3 * H)
-        self.W.grad += flat.T @ x.reshape(B * L, -1)
-        self.U.grad += dU
-        self.b_ih.grad += dpre_x.sum(axis=(0, 1))
-        self.b_hh.grad += db_hh
-        return (flat @ self.W.value).reshape(x.shape)
+def _step_major(fw: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    """Stack two (B, L, ...) arrays as (L, 2, B, ...): step s holds time s of
+    `fw` and time L-1-s of `bw`."""
+    return np.stack([np.swapaxes(fw, 0, 1), np.swapaxes(bw, 0, 1)[::-1]], axis=1)
 
 
 class BiGRULayer:
-    """Bidirectional GRU layer; outputs [forward ; backward] per token."""
+    """Bidirectional GRU layer; outputs [forward ; backward] per token.
+
+    One time loop advances both directions: step s is time s of `fw` and time
+    L-1-s of `bw`.  Per-step arrays carry a leading direction axis, so each
+    step's recurrent GEMMs are one batched matmul over the pair.  Padded steps
+    hold the previous state.
+    """
 
     def __init__(self, name: str, input_dim: int, direction_dim: int, rng: np.random.Generator):
         self.name = name
@@ -204,18 +151,100 @@ class BiGRULayer:
     def parameters(self) -> list[Parameter]:
         return self.fw.parameters() + self.bw.parameters()
 
-    def forward(self, x: np.ndarray, pad_mask: np.ndarray):
-        out_f, cache_f = self.fw.forward(x, pad_mask, reverse=False)
-        out_b, cache_b = self.bw.forward(x, pad_mask, reverse=True)
-        out = np.concatenate([out_f, out_b], axis=2) * pad_mask[:, :, None]
-        return out, {"fw": cache_f, "bw": cache_b}
+    def forward(self, x: np.ndarray, pad_mask: np.ndarray, with_cache: bool = True):
+        """States (B, L, 2H), zero at padding, and the cache for `backward`
+        (None without `with_cache`)."""
+        B, L, _ = x.shape
+        H = self.fw.hidden
+        x_flat = x.reshape(B * L, -1)
+        # input pre-activations per step; the loop overwrites them with r, z, n
+        gates = np.empty((L, 2, B, 3 * H))
+        for d, direction in enumerate((self.fw, self.bw)):
+            pre_x = np.swapaxes((x_flat @ direction.W.value.T).reshape(B, L, 3 * H), 0, 1)
+            np.add(pre_x if d == 0 else pre_x[::-1], direction.b_ih.value, out=gates[:, d])
+        U_T = np.stack([self.fw.U.value, self.bw.U.value]).transpose(0, 2, 1)
+        b_hh = np.stack([self.fw.b_hh.value, self.bw.b_hh.value])[:, None, :]
+        mask = _step_major(pad_mask[:, :, None], pad_mask[:, :, None])
+        hold = 1.0 - mask
+        hs = np.zeros((L + 1, 2, B, H))  # hs[s] is the state entering step s
+        pre_hn = np.empty((L, 2, B, H)) if with_cache else None
+        for s in range(L):
+            h = hs[s]
+            pre_h = np.matmul(h, U_T) + b_hh
+            g = gates[s]
+            g[..., : 2 * H] = sigmoid(g[..., : 2 * H] + pre_h[..., : 2 * H])
+            r, z = g[..., :H], g[..., H : 2 * H]
+            n = np.tanh(g[..., 2 * H :] + r * pre_h[..., 2 * H :], out=g[..., 2 * H :])
+            hs[s + 1] = mask[s] * ((1.0 - z) * n + z * h) + hold[s] * h
+            if with_cache:
+                pre_hn[s] = pre_h[..., 2 * H :]
+        out = np.empty((B, L, 2 * H))
+        np.multiply(np.swapaxes(hs[1:, 0], 0, 1), pad_mask[:, :, None], out=out[..., :H])
+        np.multiply(np.swapaxes(hs[:0:-1, 1], 0, 1), pad_mask[:, :, None], out=out[..., H:])
+        if not with_cache:
+            return out, None
+        return out, {"x": x, "gates": gates, "hs": hs, "pre_hn": pre_hn}
 
     def backward(self, cache: dict, dout: np.ndarray, pad_mask: np.ndarray) -> np.ndarray:
-        dout = dout * pad_mask[:, :, None]
+        """Gradient with respect to the layer input; parameter gradients
+        accumulate into `.grad`.
+
+        A cache serves one backward: the gate cache is overwritten with the
+        input-side gate gradients, and the cache is emptied on return, so a
+        second call raises instead of reading gradients as gates.
+        """
+        if not cache:
+            raise RuntimeError("this cache has served a backward pass already; run forward again")
+        x, gates, hs, pre_hn = (cache.pop(key) for key in ("x", "gates", "hs", "pre_hn"))
+        B, L, _ = x.shape
         H = self.fw.hidden
-        dx_f = self.fw.backward(cache["fw"], dout[:, :, :H], pad_mask, reverse=False)
-        dx_b = self.bw.backward(cache["bw"], dout[:, :, H:], pad_mask, reverse=True)
+        dout = dout * pad_mask[:, :, None]
+        dout = _step_major(dout[:, :, :H], dout[:, :, H:])
+        mask = _step_major(pad_mask[:, :, None], pad_mask[:, :, None])
+        hold = 1.0 - mask
+        U = np.stack([self.fw.U.value, self.bw.U.value])
+        dU = np.zeros_like(U)
+        db_hh = np.zeros((2, 3 * H))
+        dpre_h = np.empty((2, B, 3 * H))
+        dh = np.zeros((2, B, H))
+        for s in range(L - 1, -1, -1):
+            dh = dh + dout[s]
+            h_prev = hs[s]
+            g = gates[s]
+            r, z, n = g[..., :H], g[..., H : 2 * H], g[..., 2 * H :]
+            dh_cand = mask[s] * dh
+            dh_prev = hold[s] * dh + dh_cand * z
+            dn = dh_cand * (1.0 - z)
+            dz = dh_cand * (h_prev - n)
+            dan = dn * (1.0 - n * n)
+            dr = dan * pre_hn[s]
+            dpre_h[..., :H] = dr * r * (1.0 - r)
+            dpre_h[..., H : 2 * H] = dz * z * (1.0 - z)
+            dpre_h[..., 2 * H :] = dan * r
+            g[..., : 2 * H] = dpre_h[..., : 2 * H]
+            g[..., 2 * H :] = dan
+            dU += np.matmul(dpre_h.transpose(0, 2, 1), h_prev)
+            db_hh += dpre_h.sum(axis=1)
+            dh = dh_prev + np.matmul(dpre_h, U)
+        del hs, pre_hn, dout  # free the per-step states before the input-gradient GEMMs
+        self.fw.U.grad += dU[0]
+        self.bw.U.grad += dU[1]
+        self.fw.b_hh.grad += db_hh[0]
+        self.bw.b_hh.grad += db_hh[1]
+        # the input-side gradients go back to batch-major order, one direction at a time
+        dx_f = _input_grads(self.fw, np.swapaxes(gates[:, 0], 0, 1), x)
+        dx_b = _input_grads(self.bw, np.swapaxes(gates[::-1, 1], 0, 1), x)
         return dx_f + dx_b
+
+
+def _input_grads(direction: GRUDirection, dpre_x: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Accumulate W and b_ih gradients from the (B, L, 3H) input-side gate
+    gradients and return the gradient with respect to x."""
+    B, L, G = dpre_x.shape
+    flat = np.ascontiguousarray(dpre_x).reshape(B * L, G)
+    direction.W.grad += flat.T @ x.reshape(B * L, -1)
+    direction.b_ih.grad += flat.sum(axis=0)
+    return (flat @ direction.W.value).reshape(x.shape)
 
 
 class Linear:
@@ -350,15 +379,20 @@ def build_model(
 def encode(
     layers: Sequence[BiGRULayer], embedded: np.ndarray, pad_mask: np.ndarray, with_cache=False
 ):
-    """Per-token states from a stacked bidirectional encoder."""
-    x = embedded
+    """Per-token states from a stacked bidirectional encoder, with the
+    per-layer caches for `_encode_backward` when `with_cache`."""
+    states, caches = _encode(layers, embedded, pad_mask, with_cache)
+    return (states, caches) if with_cache else states
+
+
+def _encode(layers: Sequence[BiGRULayer], x: np.ndarray, pad_mask: np.ndarray, with_cache: bool):
+    """(states, per-layer caches); the caches are None without `with_cache`,
+    and then no layer keeps per-step state."""
     caches = []
     for layer in layers:
-        x, cache = layer.forward(x, pad_mask)
+        x, cache = layer.forward(x, pad_mask, with_cache=with_cache)
         caches.append(cache)
-    if with_cache:
-        return x, caches
-    return x
+    return x, caches if with_cache else None
 
 
 def _encode_backward(
@@ -507,7 +541,7 @@ def forward(
     if mask_forward not in ("hard", "soft"):
         raise ValueError("mask_forward must be 'hard' or 'soft'")
     emb_full = params.embedding.value[batch.token_ids]
-    gen_states, gen_caches = encode(params.gen_layers, emb_full, batch.pad_mask, with_cache=True)
+    gen_states, gen_caches = _encode(params.gen_layers, emb_full, batch.pad_mask, with_cache)
     gen_logits = params.gen_head.forward(gen_states)[..., 0]
     rng = np.random.default_rng(noise) if isinstance(noise, int) else noise
     sample = _sample(
@@ -521,9 +555,7 @@ def forward(
     else:
         mask_values = np.asarray(force_mask, dtype=np.float64) * batch.pad_mask
     emb_masked = apply_mask(emb_full, mask_values)
-    pred_states, pred_caches = encode(
-        params.pred_layers, emb_masked, batch.pad_mask, with_cache=True
-    )
+    pred_states, pred_caches = _encode(params.pred_layers, emb_masked, batch.pad_mask, with_cache)
     pooled, pool_cache = pool_max(pred_states, batch.pad_mask, with_cache=True)
     logits = params.pred_head.forward(pooled)
     cache = None

@@ -52,7 +52,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SkewConfig:
-    """mode "skewed_predictor": k = pretraining epochs on degenerate inputs.
+    """mode "skewed_predictor": k = pretraining epochs on degenerate inputs,
+    a whole number (0 skips pretraining).
     mode "skewed_generator": k = accuracy threshold for the first-token
     label classifier, recorded as pre_acc when first exceeded."""
 
@@ -67,10 +68,14 @@ class SkewConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("skewed_predictor", "skewed_generator"):
             raise ValueError(f"unknown skew mode {self.mode!r}")
-        if self.k <= 0 or self.batch_size < 1:
-            raise ValueError("k must be positive and batch_size >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.mode == "skewed_generator" and not 0.5 < self.k < 1.0:
             raise ValueError("generator-skew threshold must lie in (0.5, 1)")
+        if self.mode == "skewed_predictor" and not (self.k >= 0 and float(self.k).is_integer()):
+            raise ValueError(
+                f"predictor-skew k counts epochs: need a whole number >= 0, got {self.k}"
+            )
         if self.predictor_input not in ("first_sentence", "marker_only"):
             raise ValueError(f"unknown predictor_input {self.predictor_input!r}")
 
@@ -350,11 +355,14 @@ def pretrain_skewed_predictor(
     return params
 
 
-def _first_token_probs(params: mdl.ModelParams, batch) -> tuple[np.ndarray, np.ndarray, list]:
+def _first_token_probs(
+    params: mdl.ModelParams, batch, with_cache: bool = False
+) -> tuple[np.ndarray, np.ndarray, Optional[list]]:
     """The generator's selection probability of each document's first token,
-    read as P(label = 1), with the generator states and caches behind it."""
+    read as P(label = 1), with the generator states and (with `with_cache`)
+    caches behind it."""
     emb = params.embedding.value[batch.token_ids]
-    states, caches = mdl.encode(params.gen_layers, emb, batch.pad_mask, with_cache=True)
+    states, caches = mdl._encode(params.gen_layers, emb, batch.pad_mask, with_cache)
     p0 = mdl.sigmoid(params.gen_head.forward(states)[..., 0][:, 0])
     return p0, states, caches
 
@@ -393,7 +401,7 @@ def pretrain_skewed_generator(
         )
         for batch in batches:
             optimizer.zero_grad()
-            p0, states, caches = _first_token_probs(params, batch)
+            p0, states, caches = _first_token_probs(params, batch, with_cache=True)
             da0 = (p0 - batch.labels) / len(batch)  # sigmoid + BCE
             params.gen_head.W.grad += (da0[:, None] * states[:, 0, :]).sum(axis=0)[None, :]
             params.gen_head.b.grad += da0.sum()

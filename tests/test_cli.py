@@ -238,6 +238,14 @@ class TestExitCodes:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["2.7", "0.5", "-1"])
+    def test_fractional_predictor_epochs_exit_2(self, synth_cfg, tmp_path, capsys, k):
+        code = cli.main(["skew", "--config", str(synth_cfg), "--kind", "predictor", "--k", k,
+                         "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert "whole number" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "final.json").exists()
+
     def test_internal_value_error_propagates(self, synth_cfg, tmp_path, monkeypatch):
         def broken_train(*args, **kwargs):
             raise ValueError("internal failure")

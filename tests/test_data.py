@@ -247,6 +247,24 @@ class TestBatching:
         c = make_batches(ds, vocab, 4, seed=10, shuffle=True)
         assert [x.ids for x in a] != [z.ids for z in c]
 
+    def test_each_example_encoded_once_per_vocabulary(self, monkeypatch):
+        ds = self._dataset([5, 2, 4, 3, 1, 5])
+        vocab = build_vocab(ds)
+        other = Vocabulary.from_tokens(["t1", "t0"])
+        encode = Vocabulary.encode
+        calls = []
+        monkeypatch.setattr(Vocabulary, "encode",
+                            lambda self, tokens: calls.append(self) or encode(self, tokens))
+        for seed in range(3):
+            for v in (vocab, other):
+                for batch in make_batches(ds, v, 4, max_len=4, seed=seed, shuffle=True):
+                    for row, ex_id in enumerate(batch.ids):
+                        tokens = ds[int(ex_id)].tokens[:4]
+                        padded = np.full(batch.token_ids.shape[1], PAD_ID, dtype=np.int32)
+                        padded[: len(tokens)] = encode(v, tokens)
+                        assert np.array_equal(batch.token_ids[row], padded)
+        assert calls.count(vocab) == calls.count(other) == len(ds)
+
     def test_gold_truncated_with_tokens(self):
         ds = Dataset("annotation", (
             Example("a", tuple("abcdef"), 1, gold_mask=(0, 0, 0, 0, 1, 1)),

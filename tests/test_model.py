@@ -10,6 +10,7 @@ from rationalift import data as dat
 from rationalift import objective as obj
 from rationalift.data import MASK_ID, PAD_ID, Batch, SynthConfig, Vocabulary, build_vocab
 from rationalift.model import (
+    BiGRULayer,
     ModelConfig,
     ModelParams,
     apply_mask,
@@ -24,6 +25,7 @@ from rationalift.model import (
     predict,
     sample_mask,
     save_checkpoint,
+    sigmoid,
 )
 
 
@@ -153,6 +155,84 @@ class TestEncode:
         emb = params.embedding.value[batch.token_ids] * pad_mask[:, :, None]
         states = encode(params.gen_layers, emb, pad_mask)
         assert np.all(states[:, -2:, :] == 0.0)
+
+
+def _two_branch_sigmoid(x):
+    """The former sigmoid: a boolean gather into two branches."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_equal_to_two_branch_formula():
+    rng = np.random.default_rng(0)
+    special = np.array([np.inf, -np.inf, 745.0, -745.0, 1e-300, -1e-300, 0.0, -0.0,
+                        np.nan, -np.nan])
+    for x in [special, *(rng.normal(scale=s, size=(3, 50, 40)) for s in (1.0, 30.0, 800.0))]:
+        assert np.array_equal(sigmoid(x).view(np.int64), _two_branch_sigmoid(x).view(np.int64))
+
+
+class TestBiGRULayer:
+    def _padded(self, rng):
+        """A (4, 6, 5) input whose documents have lengths 6, 4, 2 and 1."""
+        lengths = np.array([6, 4, 2, 1])
+        pad_mask = (np.arange(6)[None, :] < lengths[:, None]).astype(np.float64)
+        return rng.normal(size=(4, 6, 5)) * pad_mask[:, :, None], pad_mask, lengths
+
+    def test_backward_direction_is_forward_on_reversed_documents(self):
+        rng = np.random.default_rng(5)
+        layer = BiGRULayer("oracle", 5, 3, rng)
+        for fw, bw in zip(layer.fw.parameters(), layer.bw.parameters()):
+            fw.value[...] = rng.normal(scale=0.5, size=fw.value.shape)
+            bw.value[...] = fw.value
+        x, pad_mask, lengths = self._padded(rng)
+        x_rev = x.copy()
+        for b, n in enumerate(lengths):
+            x_rev[b, :n] = x[b, n - 1 :: -1]
+        out, _ = layer.forward(x, pad_mask)
+        out_rev, _ = layer.forward(x_rev, pad_mask)
+        for b, n in enumerate(lengths):
+            np.testing.assert_allclose(out[b, :n, 3:], out_rev[b, :n, :3][::-1],
+                                       rtol=0, atol=1e-12)
+        assert np.all(out[pad_mask == 0] == 0.0)
+
+    def test_second_backward_on_spent_cache_raises(self):
+        rng = np.random.default_rng(6)
+        layer = BiGRULayer("spent", 5, 3, rng)
+        x, pad_mask, _ = self._padded(rng)
+        out, cache = layer.forward(x, pad_mask)
+        layer.backward(cache, np.ones_like(out), pad_mask)
+        with pytest.raises(RuntimeError, match="backward"):
+            layer.backward(cache, np.ones_like(out), pad_mask)
+
+    def test_uncached_forward_keeps_no_cache(self):
+        rng = np.random.default_rng(7)
+        layer = BiGRULayer("eval", 5, 3, rng)
+        x, pad_mask, _ = self._padded(rng)
+        cached, cache = layer.forward(x, pad_mask)
+        uncached, none = layer.forward(x, pad_mask, with_cache=False)
+        assert cache and none is None
+        assert np.array_equal(cached, uncached)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_uncached_model_forward_bit_equal_to_cached(self, tiny_world, mode):
+        _, splits, vocab = tiny_world
+        cfg = ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=2, share_depth=1)
+        params = build_model(cfg, vocab, seed=3)
+        full = _tiny_batch(splits, vocab)
+        lengths = np.array([7, 5, 3, 1, 6, 2])
+        pad_mask = (np.arange(7)[None, :] < lengths[:, None]).astype(np.float64)
+        batch = Batch(ids=full.ids, token_ids=np.where(pad_mask > 0, full.token_ids, PAD_ID),
+                      pad_mask=pad_mask, lengths=lengths, labels=full.labels)
+        cached = forward(params, batch, mode=mode, noise=4, with_cache=True)
+        plain = forward(params, batch, mode=mode, noise=4)
+        assert plain.cache is None
+        assert np.array_equal(cached.logits, plain.logits)
+        assert np.array_equal(cached.mask.hard_mask, plain.mask.hard_mask)
+        assert np.array_equal(cached.mask.soft_mask, plain.mask.soft_mask)
 
 
 class TestGeneratorProbs:

@@ -244,7 +244,7 @@ class TestSkewPretraining:
         params = _model(vocab, share_depth=0)
         before = params.state_dict()
         pretrain_skewed_predictor(params, splits,
-                                  SkewConfig(mode="skewed_predictor", k=1e-9))
+                                  SkewConfig(mode="skewed_predictor", k=0))
         for k, v in params.state_dict().items():
             assert np.array_equal(v, before[k])
 
