@@ -271,33 +271,40 @@ def write_manifest(
     if extra:
         manifest.update(extra)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, manifest, indent=2)
     return path
+
+
+def _write_text(path: Path, text: str) -> None:
+    with data.atomic_write(path) as fh:
+        fh.write(text)
+
+
+def _write_json(path: Path, value, indent: Optional[int] = None) -> None:
+    _write_text(path, json.dumps(value, indent=indent, sort_keys=True) + "\n")
 
 
 def _amend_manifest(out_dir: Path, extra: dict) -> None:
     path = out_dir / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, manifest, indent=2)
 
 
 def _write_metrics_stream(out_dir: Path, history: training.TrainHistory) -> None:
-    with (out_dir / "metrics.jsonl").open("w", encoding="utf-8") as fh:
+    with data.atomic_write(out_dir / "metrics.jsonl") as fh:
         for record in history:
             fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
 
 
 def _write_final(out_dir: Path, run: evaluation.EvalRun) -> None:
-    with (out_dir / "masks.jsonl").open("w", encoding="utf-8") as fh:
+    with data.atomic_write(out_dir / "masks.jsonl") as fh:
         for ex_id, mask in zip(run.ids, run.masks):
             fh.write(
                 json.dumps({"id": ex_id, "mask": "".join(str(int(m)) for m in mask)}) + "\n"
             )
-    # final.json is written last and moved into place whole: a run that has it is complete
-    tmp = out_dir / "final.json.tmp"
-    tmp.write_text(json.dumps(run.metrics.as_json_dict(), sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, out_dir / "final.json")
+    # final.json is written last: a run that has it is complete
+    _write_json(out_dir / "final.json", run.metrics.as_json_dict())
 
 
 def _emit_synth_corpora(out_dir: Path, cfg: dict, splits: data.Splits) -> None:
@@ -433,7 +440,7 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
         _model_config(cfg), vocab, splits, _train_config(cfg), gen_rates, pred_rates, seeds,
         embeddings=embeddings, run_cell=run_cell,
     ).median_f1
-    with (out_dir / "grid.csv").open("w", newline="", encoding="utf-8") as fh:
+    with data.atomic_write(out_dir / "grid.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lr_gen\\lr_pred"] + [f"{lp:g}" for lp in pred_rates])
         for i, lg in enumerate(gen_rates):
@@ -444,9 +451,9 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
             f"{lg:>13g}  " + "  ".join(f"{median[i, j]:>10.4f}" for j in range(len(pred_rates)))
         )
     table = "\n".join(lines)
-    (out_dir / "grid.txt").write_text(table + "\n", encoding="utf-8")
+    _write_text(out_dir / "grid.txt", table + "\n")
     summary = {"gen_rates": gen_rates, "pred_rates": pred_rates, "median_f1": median.tolist()}
-    (out_dir / "grid.json").write_text(json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out_dir / "grid.json", summary)
     print(table)
     return 0
 
@@ -513,10 +520,8 @@ def cmd_probe(args: argparse.Namespace, argv: Sequence[str]) -> int:
         report = evaluation.uninformative_rationale_probe(
             params, dataset, token_classes, max_examples=args.max_examples
         )
-    (out_dir / "probe.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    (out_dir / "probe.html").write_text(
-        evaluation.render_probe_html(report), encoding="utf-8"
-    )
+    _write_text(out_dir / "probe.json", report.to_json() + "\n")
+    _write_text(out_dir / "probe.html", evaluation.render_probe_html(report))
     print(json.dumps(report.summary, sort_keys=True))
     return 0
 
@@ -540,7 +545,7 @@ def cmd_eval(args: argparse.Namespace, argv: Sequence[str]) -> int:
             list(dataset), run.masks, n=args.render, fmt=args.format
         )
         suffix = "html" if args.format == "html" else "txt"
-        (out_dir / f"rationales.{suffix}").write_text(report, encoding="utf-8")
+        _write_text(out_dir / f"rationales.{suffix}", report)
     print(json.dumps(run.metrics.as_json_dict(), sort_keys=True))
     return 0
 

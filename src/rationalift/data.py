@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -366,11 +368,29 @@ def gold_sparsity(dataset: Dataset) -> float:
     return float(np.mean(fractions))
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open `path` for writing ("w": UTF-8 text, no newline translation;
+    "wb": bytes) through a temporary file beside it.  The temporary replaces
+    `path` whole when the block ends; if the block raises, it is removed and
+    `path` keeps what it held, so a reader never sees a half-written file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with tmp.open(mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     """Emit a dataset in the canonical JSON-lines format."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in dataset:
             record: dict = {"id": ex.id, "label": ex.label, "text": " ".join(ex.tokens)}
             if ex.gold_mask is not None:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import objective as obj
-from .data import MASK_ID, PAD_ID, Batch, Vocabulary
+from .data import MASK_ID, PAD_ID, Batch, Vocabulary, atomic_write
 
 NUM_CLASSES = 2  # labels are 0 and 1
 
@@ -41,7 +41,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function.  exp only sees min(x, -x) = -|x|, so it never
     overflows; unlike -|x|, the min passes a NaN through with its sign bit."""
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # max(e, 1) = 1 where x >= 0 (there e <= 1) and max(e, 0) = e elsewhere, NaN kept
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 class Parameter:
@@ -679,7 +680,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, meta: Optional[dict] 
     arrays["__config__"] = np.array(params.config.to_json())
     arrays["__vocab__"] = np.array(params.vocab.to_json())
     arrays["__meta__"] = np.array(json.dumps(meta or {}, sort_keys=True))
-    with path.open("wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 

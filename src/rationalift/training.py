@@ -5,6 +5,9 @@ degeneration."""
 from __future__ import annotations
 
 import logging
+import os
+import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -445,6 +448,77 @@ def _score_cell(params: mdl.ModelParams, splits: Splits, cfg: TrainConfig) -> fl
     return float(run.metrics.f1)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_share(job: Callable[[int], float], ks: range, conn) -> None:
+    """A forked worker's body: run jobs `ks` and send back a dict of their
+    results, or a tuple of the exception that stopped them and its
+    formatted traceback."""
+    try:
+        outcome = {k: job(k) for k in ks}
+    except Exception as exc:
+        outcome = (exc, traceback.format_exc())
+    conn.send(outcome)
+
+
+def _map_forked(job: Callable[[int], float], n: int) -> list[float]:
+    """`[job(k) for k in range(n)]` on min(n, available CPUs) processes, the
+    caller included, so that a tracer in the caller still sees its share.
+
+    The caller runs the jobs with `k % workers == 0`; extra worker `w` is a
+    forked child that inherits `job` (a closure need not pickle) and runs
+    those with `k % workers == w`.  Results come back in job order and equal a
+    sequential loop's when each job depends only on `k`.  The first failure
+    seen is raised here with its type, the worker's traceback as its cause.
+    Every child is joined, after `terminate` on a failure, before this
+    returns or raises.
+    """
+    import multiprocessing  # here, not at the top, so that `import rationalift` stays lean
+
+    ctx = multiprocessing.get_context("fork")
+    workers = min(n, _cpu_count())
+    # a child must not write out what the caller has buffered a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(job, range(w, n, workers), send))
+            child.start()
+            children.append((child, recv))
+            send.close()  # the child holds the only write end, so its death reads as EOF
+        results = {k: job(k) for k in range(0, n, workers)}
+        for child, recv in children:
+            try:
+                outcome = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"grid worker {child.name} exited with code {child.exitcode} "
+                    "before sending its results"
+                ) from None
+            if isinstance(outcome, tuple):
+                exc, remote_tb = outcome
+                raise exc from RuntimeError(f"in grid worker {child.name}:\n{remote_tb}")
+            results.update(outcome)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return [results[k] for k in range(n)]
+
+
 def lr_grid(
     model_cfg: mdl.ModelConfig,
     vocab,
@@ -462,6 +536,11 @@ def lr_grid(
     Each (rate pair, seed) run gets a fresh model built from `seed` and is
     scored by `run_cell(params, splits, cfg)`, which trains it and returns its
     F1; the CLI passes one that also resumes and writes the run's artifacts.
+    The runs go to one process per available CPU, the caller included (see
+    `_map_forked`), so `run_cell` may run in a forked worker, and only its
+    returned F1 comes back: side effects on the caller's objects are lost.
+    Results equal a sequential sweep's, bit for bit, at the same BLAS thread
+    count.
     """
     if model_cfg.share_depth != 0:
         raise ValueError("the learning-rate grid is defined for the two-phase baseline")
@@ -469,18 +548,23 @@ def lr_grid(
         raise ValueError("rate and seed lists must be non-empty")
     if splits.annotation is None:
         raise ValueError("an annotation split is required to score grid cells")
-    median = np.zeros((len(gen_rates), len(pred_rates)))
+    jobs = [(i, j, seed) for i in range(len(gen_rates)) for j in range(len(pred_rates))
+            for seed in seeds]
+
+    def score(k: int) -> float:
+        i, j, seed = jobs[k]
+        lg, lp = gen_rates[i], pred_rates[j]
+        params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=seed)
+        f1 = run_cell(params, splits, replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed))
+        logger.info("grid cell lr_gen=%g lr_pred=%g seed=%d F1=%.4f", lg, lp, seed, f1)
+        return f1
+
     cells: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for i, lg in enumerate(gen_rates):
-        for j, lp in enumerate(pred_rates):
-            scores = []
-            for seed in seeds:
-                params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=seed)
-                cfg = replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed)
-                scores.append((seed, run_cell(params, splits, cfg)))
-                logger.info("grid cell lr_gen=%g lr_pred=%g seed=%d F1=%.4f", lg, lp, seed, scores[-1][1])
-            cells[(i, j)] = scores
-            median[i, j] = float(np.median([f for _, f in scores]))
+    for (i, j, seed), f1 in zip(jobs, _map_forked(score, len(jobs))):
+        cells.setdefault((i, j), []).append((seed, f1))
+    median = np.zeros((len(gen_rates), len(pred_rates)))
+    for (i, j), scores in cells.items():
+        median[i, j] = float(np.median([f for _, f in scores]))
     return GridResult(
         gen_rates=tuple(gen_rates), pred_rates=tuple(pred_rates), median_f1=median, cells=cells
     )

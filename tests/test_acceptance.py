@@ -5,11 +5,12 @@ Criteria 5-8 train real (desk-scale) models on synthetic corpora; everything is
 deterministic given the seeds baked in below and the single BLAS thread that
 `conftest.py` pins.
 
-Cost: the full module takes about 15 minutes on a 2-core CPU (criterion 6
-about 5.5 minutes, criterion 7 about 6, the skewed-predictor analogue about
-2.5, the criterion-5 fixture about 1); run sequentially it took 21 to 24.
-Criteria 5 and 6 and the analogue send their independent training runs to
-`WORKERS` processes, one per core.  The wall-clock bounds inside the tests
+Cost: the whole tier-1 run (this module and the unit tests) took 553 s on a
+2-vCPU VM (criterion 6 257 s, the skewed-predictor analogue 111 s, criterion 7
+126 s, the criterion-5 fixture 47 s).  Criteria 5 and 6 and the analogue send
+their independent training runs to `WORKERS` processes, one per core;
+criterion 7's grid goes through `lr_grid`, which runs its cells on one process
+per available CPU itself.  The wall-clock bounds inside the tests
 assume the module runs alone: with another acceptance test sharing the same
 2 cores, criterion 6 once took 1728 s of its 1800 s bound.
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -206,6 +207,52 @@ class TestGridCommand:
         assert json.loads((out / "grid.json").read_text())["median_f1"] == (
             result.median_f1.tolist()
         )
+
+    def test_parallel_artifacts_equal_sequential(self, synth_cfg, tmp_path, monkeypatch):
+        """Cells written by forked workers are the bytes a one-process sweep writes."""
+        # no sparsity term, so that the cells' F1s differ (see the last assertion)
+        config = tmp_path / "dense.cfg"
+        config.write_text(synth_cfg.read_text() + "lambda1 = 0.0\n")
+        outs = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            outs[cpus] = tmp_path / f"grid-cpus{cpus}"
+            assert cli.main(["grid", "--config", str(config), "--gen-rates", "2e-3,1e-2",
+                             "--pred-rates", "1e-3", "--seeds", "0,1",
+                             "--out", str(outs[cpus]), "--epochs", "1"]) == 0
+        names = ["grid.csv", "grid.txt", "grid.json"] + [
+            f"{cell.name}/{name}" for cell in sorted(outs[1].glob("cell-*"))
+            for name in ("metrics.jsonl", "masks.jsonl", "final.json")
+        ]
+        assert len(names) == 3 + 4 * 3
+        for name in names:
+            assert (outs[3] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        for cell in outs[1].glob("cell-*"):
+            one, _ = mdl.load_checkpoint(cell / "checkpoint.npz")
+            three, _ = mdl.load_checkpoint(outs[3] / cell.name / "checkpoint.npz")
+            for key, value in one.state_dict().items():
+                assert np.array_equal(value, three.state_dict()[key]), (cell.name, key)
+        f1s = [json.loads((cell / "final.json").read_text())["F1"]
+               for cell in outs[1].glob("cell-*")]
+        assert len(set(f1s)) > 1
+
+    def test_worker_divergence_exits_3(self, synth_cfg, tmp_path, monkeypatch, capsys):
+        real_train = training.train
+
+        def train(params, splits, cfg, **kwargs):
+            if cfg.seed == 1:  # job 1 of 2: the forked worker's
+                raise training.DivergenceError("non-finite loss in the cell of seed 1")
+            return real_train(params, splits, cfg, **kwargs)
+
+        monkeypatch.setattr(training, "train", train)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code = cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "2e-3",
+                         "--pred-rates", "1e-3", "--seeds", "0,1",
+                         "--out", str(tmp_path / "grid"), "--epochs", "1"])
+        assert code == 3
+        assert "cell of seed 1" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "grid" / "grid.json").exists()
 
     def test_empty_rate_list_exits_2(self, synth_cfg, capsys):
         assert cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "",

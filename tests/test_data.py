@@ -150,6 +150,28 @@ class TestAnnotations:
         assert gold_sparsity(ds) == pytest.approx((2 / 4 + 1 / 5) / 2)
 
 
+class TestAtomicWrite:
+    def test_raise_partway_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "final.json"
+        path.write_text("previous\n")
+        with pytest.raises(RuntimeError, match="partway"):
+            with data.atomic_write(path) as fh:
+                fh.write("half of the new cont")
+                raise RuntimeError("partway")
+        assert path.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["final.json"]
+
+    @pytest.mark.parametrize("mode,payload", [("w", "a\r\nb\n"), ("wb", b"\x00\r\n\xff")])
+    def test_replaces_whole_file_with_exact_bytes(self, tmp_path, mode, payload):
+        path = tmp_path / "out"
+        path.write_text("a much longer previous content\n")
+        with data.atomic_write(path, mode) as fh:
+            fh.write(payload)
+        raw = payload if isinstance(payload, bytes) else payload.encode("utf-8")
+        assert path.read_bytes() == raw
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
 class TestVocabulary:
     def test_build_from_corpus(self):
         ds = Dataset("train", (

@@ -540,6 +540,23 @@ class TestCheckpoint:
         for g, p in zip(loaded.gen_layers, loaded.pred_layers):
             assert g is p
 
+    def test_failed_save_keeps_previous_checkpoint(self, tiny_world, tmp_path, monkeypatch):
+        _, _, vocab = tiny_world
+        cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(cfg, vocab, seed=1))
+        before = path.read_bytes()
+
+        def savez_then_fail(fh, **arrays):
+            fh.write(b"PK\x03\x04 a partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, build_model(cfg, vocab, seed=2))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nope.npz")

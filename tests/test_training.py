@@ -1,5 +1,10 @@
 """Optimization loops: determinism, partitioning, selection, skew protocols."""
 
+import multiprocessing
+import os
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -311,7 +316,6 @@ class TestLrGrid:
         grid = lr_grid(mcfg, vocab, splits, base, [2e-3], [1e-3], seeds=[4])
         params = mdl.build_model(mcfg, vocab, seed=4)
         from rationalift.evaluation import evaluate_model
-        from dataclasses import replace
         best, _ = train(params, splits, replace(base, lr_gen=2e-3, lr_pred=1e-3, seed=4))
         run = evaluate_model(best, splits.annotation)
         assert grid.median_f1[0, 0] == pytest.approx(run.metrics.f1)
@@ -327,3 +331,110 @@ class TestLrGrid:
         mcfg = mdl.ModelConfig(embedding_dim=8, hidden_dim=10, share_depth=0)
         with pytest.raises(ValueError, match="non-empty"):
             lr_grid(mcfg, vocab, splits, _train_cfg(), [], [1e-3], [0])
+
+
+GRID_MODEL = mdl.ModelConfig(embedding_dim=8, hidden_dim=10, share_depth=0)
+GRID_RATES = ([2e-3, 1e-2], [1e-3])
+# no sparsity term: at this size its cells would all select nothing and score
+# F1 = 0, and a grid that mixed its cells up would still compare equal
+GRID_TRAIN = _train_cfg(epochs=1, objective=obj.ObjectiveConfig(lambda1=0.0, lambda2=0.05,
+                                                                 alpha=0.2))
+
+
+def _fake_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _grid(splits, vocab, seeds, run_cell=training._score_cell):
+    return lr_grid(GRID_MODEL, vocab, splits, GRID_TRAIN, *GRID_RATES, seeds,
+                   run_cell=run_cell)
+
+
+class TestParallelLrGrid:
+    """lr_grid spreads its cells over one process per available CPU, the
+    caller included; the results must equal a sequential sweep's."""
+
+    @pytest.fixture(scope="class")
+    def sequential(self, small_world):
+        """Per-cell F1 of a plain loop over the cells, in the grid's job order."""
+        _, splits, vocab = small_world
+        scores = {}
+        for i, lg in enumerate(GRID_RATES[0]):
+            for j, lp in enumerate(GRID_RATES[1]):
+                for seed in (0, 1, 2):
+                    params = mdl.build_model(GRID_MODEL, vocab, seed=seed)
+                    cfg = replace(GRID_TRAIN, lr_gen=lg, lr_pred=lp, seed=seed)
+                    scores.setdefault((i, j), []).append(
+                        (seed, training._score_cell(params, splits, cfg)))
+        return scores
+
+    def test_cells_equal_sequential_loop(self, small_world, sequential, monkeypatch, tmp_path):
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 3)  # 6 cells: the caller and each worker run two
+
+        def run_cell(params, splits, cfg):
+            (tmp_path / f"pid-{cfg.lr_gen:g}-{cfg.seed}").write_text(str(os.getpid()))
+            return training._score_cell(params, splits, cfg)
+
+        grid = _grid(splits, vocab, [0, 1, 2], run_cell)
+        assert len({f for scores in sequential.values() for _, f in scores}) == 5
+        assert grid.cells == sequential  # float ==: bit for bit
+        assert grid.median_f1.tolist() == [
+            [float(np.median([f for _, f in sequential[(i, 0)]]))] for i in range(2)
+        ]
+        pids = {int(p.read_text()) for p in tmp_path.glob("pid-*")}
+        assert len(pids) == 3 and os.getpid() in pids
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_starts_no_process(self, small_world, sequential, monkeypatch):
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 1)
+
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _grid(splits, vocab, [0, 1, 2]).cells == sequential
+
+    def test_worker_divergence_reraised(self, small_world, monkeypatch):
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 2)
+
+        def run_cell(params, splits, cfg):
+            if cfg.seed == 1:  # jobs 1 and 3: the worker's
+                raise DivergenceError(f"non-finite loss in the cell of seed {cfg.seed}")
+            return 0.5
+
+        with pytest.raises(DivergenceError, match="cell of seed 1") as info:
+            _grid(splits, vocab, [0, 1], run_cell)
+        assert "in grid worker" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_failure_terminates_workers(self, small_world, monkeypatch):
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 2)
+
+        def run_cell(params, splits, cfg):
+            if cfg.seed == 0:  # jobs 0 and 2: the caller's
+                raise ValueError("caller cell failed")
+            time.sleep(60)
+            return 0.5
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="caller cell failed"):
+            _grid(splits, vocab, [0, 1], run_cell)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_is_reported(self, small_world, monkeypatch):
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 2)
+
+        def run_cell(params, splits, cfg):
+            if cfg.seed == 1:
+                os._exit(7)
+            return 0.5
+
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            _grid(splits, vocab, [0, 1], run_cell)
+        assert multiprocessing.active_children() == []
