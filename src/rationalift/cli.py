@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -55,7 +56,6 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "epochs": (int, 30),
     "seed": (int, 0),
     "max_len": (int, 256),
-    "grad_clip": (float, None),
     "delta_sparsity": (float, 0.05),
     # skew
     "skew_kind": (str, None),
@@ -159,54 +159,35 @@ def _as_config_error():
         raise ConfigError(str(exc)) from exc
 
 
-@_as_config_error()
+def _config(cls, cfg: dict, prefix: str = "", **given):
+    """A `cls` instance whose fields not `given` read the config keys
+    `prefix + field name`; a validation failure is a ConfigError."""
+    values = {f.name: cfg[prefix + f.name] for f in fields(cls) if f.name not in given}
+    with _as_config_error():
+        return cls(**values, **given)
+
+
 def _model_config(cfg: dict) -> mdl.ModelConfig:
-    return mdl.ModelConfig(
-        embedding_dim=cfg["embedding_dim"],
-        hidden_dim=cfg["hidden_dim"],
-        num_layers=cfg["num_layers"],
-        share_depth=cfg["share_depth"],
-        temperature=cfg["temperature"],
-        train_embedding=cfg["train_embedding"],
-    )
+    return _config(mdl.ModelConfig, cfg)
 
 
-@_as_config_error()
 def _train_config(cfg: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        lr_gen=cfg["lr_gen"],
-        lr_pred=cfg["lr_pred"],
-        lr_shared=cfg["lr_shared"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        max_len=cfg["max_len"],
-        grad_clip=cfg["grad_clip"],
-        delta_sparsity=cfg["delta_sparsity"],
-        objective=obj.ObjectiveConfig(
-            lambda1=cfg["lambda1"],
-            lambda2=cfg["lambda2"],
-            alpha=cfg["alpha"],
-            coherence_normalized=cfg["coherence_normalized"],
-        ),
-    )
+    return _config(training.TrainConfig, cfg, objective=_config(obj.ObjectiveConfig, cfg))
+
+
+def _skew_config(cfg: dict) -> training.SkewConfig:
+    kind = cfg["skew_kind"]
+    if kind not in ("generator", "predictor"):
+        raise ConfigError(f"invalid skew kind {kind!r}")
+    if cfg["skew_k"] is None:
+        raise ConfigError("skew requires --k")
+    return _config(training.SkewConfig, cfg, "skew_", mode=f"skewed_{kind}", seed=cfg["seed"])
 
 
 def resolve_data(cfg: dict):
     """Returns (splits, vocab, embeddings-or-None, token_classes-or-None)."""
     if cfg["data"] == "synth":
-        synth = data.SynthConfig(
-            vocab_size=cfg["synth_vocab_size"],
-            doc_length=cfg["synth_doc_length"],
-            span_length=cfg["synth_span_length"],
-            marker_correlation=cfg["synth_marker_correlation"],
-            seed=cfg["synth_seed"],
-            train_size=cfg["synth_train_size"],
-            dev_size=cfg["synth_dev_size"],
-            annotation_size=cfg["synth_annotation_size"],
-            informative_per_class=cfg["synth_informative_per_class"],
-            marker_count=cfg["synth_marker_count"],
-        )
+        synth = _config(data.SynthConfig, cfg, "synth_")
         splits = data.synth_generate(synth)
         vocab = data.build_vocab(splits.train, min_freq=cfg["min_freq"])
         return splits, vocab, None, synth.token_classes()
@@ -366,21 +347,8 @@ def cmd_train(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_skew(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = resolve_config(args)
+    skew_cfg = _skew_config(cfg)
     kind, k = cfg["skew_kind"], cfg["skew_k"]
-    if kind not in ("generator", "predictor"):
-        raise ConfigError(f"invalid skew kind {kind!r}")
-    if k is None:
-        raise ConfigError("skew requires --k")
-    with _as_config_error():
-        skew_cfg = training.SkewConfig(
-            mode=f"skewed_{kind}",
-            k=k,
-            batch_size=cfg["skew_batch_size"],
-            lr=cfg["skew_lr"],
-            predictor_input=cfg["skew_predictor_input"],
-            epoch_cap=cfg["skew_epoch_cap"],
-            seed=cfg["seed"],
-        )
 
     def pretrain(params: mdl.ModelParams, splits: data.Splits, token_classes) -> dict:
         extra: dict = {"skew": {"kind": kind, "k": k}}
@@ -466,11 +434,7 @@ def _probe_sentences(
 ) -> tuple[list[list[str]], list[list[str]]]:
     if args.sentence:
         sentences = [s.split() for s in args.sentence]
-        if token_classes is not None:
-            classes = [[token_classes.get(t, data.CLASS_FILLER) for t in s] for s in sentences]
-        else:
-            classes = [list(data.classify_tokens(s)) for s in sentences]
-        return sentences, classes
+        return sentences, [list(data.classify_tokens(s, token_classes)) for s in sentences]
     defaults = [s.split() for s in DEFAULT_PROBE_SENTENCES]
     if all(t in params.vocab for s in defaults for t in s):
         return defaults, [list(data.classify_tokens(s)) for s in defaults]
@@ -479,8 +443,7 @@ def _probe_sentences(
         # filler/informative tokens in-distribution
         docs = list(_final_split(splits))[: args.max_examples]
         sentences = [list(ex.tokens) for ex in docs]
-        classes = [[token_classes.get(t, data.CLASS_FILLER) for t in s] for s in sentences]
-        return sentences, classes
+        return sentences, [list(data.classify_tokens(s, token_classes)) for s in sentences]
     raise ConfigError(
         "default probe tokens are not in the checkpoint vocabulary; pass --sentence"
     )

@@ -45,18 +45,14 @@ class RationaleMetrics:
 
 
 def token_prf(
-    pred_masks: Sequence[Sequence[int]],
-    gold_masks: Sequence[Sequence[int]],
-    average: str = "micro",
+    pred_masks: Sequence[Sequence[int]], gold_masks: Sequence[Sequence[int]]
 ) -> tuple[float, float, float]:
-    """Token-level precision/recall/F1 of predicted vs gold masks.
-
-    Micro-averages over all tokens of all examples by default; empty
-    denominators give 0 by convention.
+    """Token-level precision/recall/F1 of predicted vs gold masks,
+    micro-averaged over all tokens of all examples; empty denominators give 0
+    by convention.
     """
     if len(pred_masks) != len(gold_masks):
         raise ValueError("pred and gold mask lists differ in length")
-    per_example = []
     tp = npred = ngold = 0
     for i, (pred, gold) in enumerate(zip(pred_masks, gold_masks)):
         pred = np.asarray(pred).astype(int)
@@ -65,23 +61,13 @@ def token_prf(
             raise ValueError(
                 f"example {i}: mask length mismatch ({pred.shape[0]} vs {gold.shape[0]})"
             )
-        etp = int(np.sum((pred == 1) & (gold == 1)))
-        ep, eg = int(pred.sum()), int(gold.sum())
-        tp += etp
-        npred += ep
-        ngold += eg
-        pp = etp / ep if ep else 0.0
-        rr = etp / eg if eg else 0.0
-        per_example.append((pp, rr, 2 * pp * rr / (pp + rr) if pp + rr else 0.0))
-    if average == "micro":
-        p = tp / npred if npred else 0.0
-        r = tp / ngold if ngold else 0.0
-        f1 = 2 * p * r / (p + r) if p + r else 0.0
-        return p, r, f1
-    if average == "macro":
-        arr = np.array(per_example)
-        return tuple(float(x) for x in arr.mean(axis=0))
-    raise ValueError(f"unknown averaging scheme {average!r}")
+        tp += int(np.sum((pred == 1) & (gold == 1)))
+        npred += int(pred.sum())
+        ngold += int(gold.sum())
+    p = tp / npred if npred else 0.0
+    r = tp / ngold if ngold else 0.0
+    f1 = 2 * p * r / (p + r) if p + r else 0.0
+    return p, r, f1
 
 
 def sparsity(pred_masks: Sequence[Sequence[int]], lengths: Optional[Sequence[int]] = None) -> float:
@@ -361,42 +347,29 @@ def _predictor_softmax(params: mdl.ModelParams, token_ids: np.ndarray) -> np.nda
 def insertion_probe(
     params: mdl.ModelParams,
     examples: Sequence[Example],
-    token: Optional[str],
+    token: str,
     positions: Optional[Sequence[int]] = None,
-    as_pad: bool = False,
 ) -> ProbeReport:
-    """Max softmax shift of the predictor when one token is spliced into the text.
-
-    token=None with as_pad=True appends a PAD position instead, which pooling
-    must ignore exactly.
-    """
+    """Max softmax shift of the predictor when one token is spliced into the text."""
     if not examples:
         raise ValueError("the insertion probe needs at least one example")
+    tok_id = _strict_encode(params, [token])
     deltas = []
     for ex in examples:
         base_ids = _strict_encode(params, ex.tokens)
         base = _predictor_softmax(params, base_ids)[0]
+        spots = positions if positions is not None else range(len(ex.tokens) + 1)
         row = []
-        if as_pad:
-            padded = np.concatenate([base_ids, np.zeros((1, 1), dtype=base_ids.dtype)], axis=1)
-            after = _predictor_softmax(params, padded)[0]
+        for pos in spots:
+            new_ids = np.concatenate([base_ids[:, :pos], tok_id, base_ids[:, pos:]], axis=1)
+            after = _predictor_softmax(params, new_ids)[0]
             row.append(float(np.max(np.abs(after - base))))
-        else:
-            if token is None:
-                raise ValueError("a token is required unless as_pad is set")
-            tok_id = np.array([[_strict_encode(params, [token])[0, 0]]], dtype=base_ids.dtype)
-            spots = positions if positions is not None else range(len(ex.tokens) + 1)
-            for pos in spots:
-                new_ids = np.concatenate([base_ids[:, :pos], tok_id, base_ids[:, pos:]], axis=1)
-                after = _predictor_softmax(params, new_ids)[0]
-                row.append(float(np.max(np.abs(after - base))))
         deltas.append(row)
     flat = [d for row in deltas for d in row]
     return ProbeReport(
         kind="insertion",
         summary={
             "token": token,
-            "as_pad": as_pad,
             "median_delta": float(np.median(flat)),
             "max_delta": float(np.max(flat)),
         },
@@ -425,7 +398,7 @@ def uninformative_rationale_probe(
     examples = list(dataset)[:max_examples]
     for ex in examples:
         ids = _strict_encode(params, ex.tokens)
-        classes = [token_classes.get(t, CLASS_FILLER) for t in ex.tokens]
+        classes = classify_tokens(ex.tokens, token_classes)
         filler_positions = [i for i, c in enumerate(classes) if c == CLASS_FILLER]
         pad = np.ones(ids.shape, dtype=np.float64)
         if len(filler_positions) >= rationale_size:

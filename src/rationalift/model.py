@@ -528,14 +528,14 @@ def forward(
     batch: Batch,
     mode: str = "train",
     noise: int | np.random.Generator | None = None,
-    force_mask: np.ndarray | str | None = None,
+    force_mask: Optional[np.ndarray] = None,
     mask_forward: str = "hard",
     with_cache: bool = False,
 ) -> ForwardResult:
     """Full pipeline: embed, encode (generator view), sample a mask, re-embed
     and mask the original tokens, encode (predictor view), pool, classify.
 
-    `force_mask` ("ones" or an array) bypasses sampling for debugging;
+    `force_mask`, a mask array, bypasses sampling (skewed-predictor pretraining);
     `mask_forward` = "soft" consumes the relaxed mask downstream, which makes
     the loss differentiable end-to-end for gradient checking.
     """
@@ -551,8 +551,6 @@ def forward(
     )
     if force_mask is None:
         mask_values = sample.hard_mask if mask_forward == "hard" else sample.soft_mask
-    elif isinstance(force_mask, str) and force_mask == "ones":
-        mask_values = batch.pad_mask.copy()
     else:
         mask_values = np.asarray(force_mask, dtype=np.float64) * batch.pad_mask
     emb_masked = apply_mask(emb_full, mask_values)
@@ -593,6 +591,14 @@ def _scatter_embedding_grad(params: ModelParams, token_ids: np.ndarray, demb: np
     params.embedding.grad[MASK_ID] = 0.0
 
 
+def _gen_head_backward(params: ModelParams, states: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+    """Accumulate the generator head's gradients from the (B, L) logit
+    gradients at the (B, L, H) generator states; returns d(loss)/d(states)."""
+    params.gen_head.W.grad += (dlogits[..., None] * states).sum(axis=(0, 1))[None, :]
+    params.gen_head.b.grad += dlogits.sum()
+    return dlogits[..., None] * params.gen_head.W.value[0]
+
+
 def loss_and_grads(
     params: ModelParams,
     batch: Batch,
@@ -600,7 +606,7 @@ def loss_and_grads(
     mode: str = "train",
     noise: int | np.random.Generator | None = None,
     mask_forward: str = "hard",
-    force_mask: np.ndarray | str | None = None,
+    force_mask: Optional[np.ndarray] = None,
 ) -> LossBreakdown:
     """One forward/backward pass; gradients accumulate into Parameter.grad.
 
@@ -635,11 +641,7 @@ def loss_and_grads(
     if not cache["forced"]:
         soft = out.mask.soft_mask
         dgen_logits = dmask * soft * (1.0 - soft) / params.config.temperature
-        params.gen_head.W.grad += (dgen_logits[..., None] * cache["gen_states"]).sum(
-            axis=(0, 1)
-        )[None, :]
-        params.gen_head.b.grad += dgen_logits.sum()
-        dgen_states = dgen_logits[..., None] * params.gen_head.W.value[0]
+        dgen_states = _gen_head_backward(params, cache["gen_states"], dgen_logits)
         demb_full = demb_full + _encode_backward(
             params.gen_layers, cache["gen_caches"], dgen_states, batch.pad_mask
         )

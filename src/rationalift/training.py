@@ -4,17 +4,18 @@ degeneration."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import evaluation, model as mdl, objective as obj
-from .data import CLASS_FILLER, CLASS_MARKER, Dataset, Splits, make_batches
+from .data import CLASS_MARKER, Dataset, Splits, Vocabulary, classify_tokens, make_batches
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +37,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     max_len: int = 256
-    grad_clip: Optional[float] = None
     delta_sparsity: float = 0.05
     objective: obj.ObjectiveConfig = field(default_factory=obj.ObjectiveConfig)
 
@@ -163,13 +163,35 @@ def make_optimizer(params: mdl.ModelParams, cfg: TrainConfig) -> Adam:
     )
 
 
-def clip_gradients(parameters: Sequence[mdl.Parameter], max_norm: float) -> float:
-    total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in parameters)))
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for p in parameters:
-            p.grad *= scale
-    return total
+def _epochs(
+    optimizer: Adam,
+    dataset: Dataset,
+    vocab: Vocabulary,
+    batch_size: int,
+    seed: int,
+    step: Callable,
+    max_len: int = 256,
+) -> Iterator[list]:
+    """Training epochs without end: each shuffles `dataset` into batches from
+    the first child stream of `seed` and, per batch, zeroes the gradients, runs
+    `step(batch, epoch)`, checks that every gradient is finite and steps the
+    optimizer.  Yields each epoch's list of `step` results; take n epochs
+    with `zip(range(n), _epochs(...))`, which starts no (n+1)-th."""
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for epoch in itertools.count(1):
+        results = []
+        batches = make_batches(
+            dataset, vocab, batch_size, max_len=max_len,
+            seed=int(shuffle_rng.integers(2**31)), shuffle=True,
+        )
+        for batch in batches:
+            optimizer.zero_grad()
+            results.append(step(batch, epoch))
+            for p in optimizer.parameters():
+                if not np.isfinite(p.grad).all():
+                    raise DivergenceError(f"non-finite gradient of {p.name} at epoch {epoch}")
+            optimizer.step()
+        yield results
 
 
 def _selection_key(record: EpochRecord, alpha: float, delta_sparsity: float) -> tuple:
@@ -201,9 +223,7 @@ def _evaluate_epoch(
     record.dev_sparsity = dev.metrics.s
     record.dev_f1 = dev.metrics.f1
     if token_classes is not None:
-        class_rows = [
-            [token_classes.get(t, CLASS_FILLER) for t in toks] for toks in dev.token_rows
-        ]
+        class_rows = [classify_tokens(toks, token_classes) for toks in dev.token_rows]
         record.marker_rate = evaluation.marker_inclusion_rate(dev.masks, class_rows)
         record.composition = evaluation.selection_composition(dev.masks, class_rows)
     if splits.annotation is not None:
@@ -229,50 +249,37 @@ def train(
     """
     if cfg.epochs == 0:
         return params, []
-    optimizer = make_optimizer(params, cfg)
-    shuffle_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    noise_rng = np.random.default_rng(noise_ss)
+    # `_epochs` shuffles from the seed's first child stream, the mask noise
+    # comes from its second
+    noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+
+    def step(batch, epoch: int) -> tuple[float, float]:
+        loss = mdl.loss_and_grads(params, batch, cfg.objective, mode="train", noise=noise_rng)
+        if not np.isfinite(loss.total):
+            raise DivergenceError(
+                f"non-finite loss at epoch {epoch}: ce={loss.ce}, omega={loss.omega}"
+            )
+        return loss.ce, loss.omega
+
+    epochs = _epochs(
+        make_optimizer(params, cfg), splits.train, params.vocab, cfg.batch_size, cfg.seed,
+        step, max_len=cfg.max_len,
+    )
     history: TrainHistory = []
     best_key: Optional[tuple] = None  # _selection_key of the snapshot epoch
     best_state: dict = {}
-    for epoch_idx in range(cfg.epochs):
+    for epoch_idx, losses in zip(range(cfg.epochs), epochs):
         ce_sum = omega_sum = 0.0
-        batches = make_batches(
-            splits.train,
-            params.vocab,
-            cfg.batch_size,
-            max_len=cfg.max_len,
-            seed=int(shuffle_rng.integers(2**31)),
-            shuffle=True,
-        )
-        for batch in batches:
-            optimizer.zero_grad()
-            loss = mdl.loss_and_grads(
-                params, batch, cfg.objective, mode="train", noise=noise_rng
-            )
-            if not np.isfinite(loss.total):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch_idx + 1}: "
-                    f"ce={loss.ce}, omega={loss.omega}"
-                )
-            for p in optimizer.parameters():
-                if not np.isfinite(p.grad).all():
-                    raise DivergenceError(
-                        f"non-finite gradient of {p.name} at epoch {epoch_idx + 1}"
-                    )
-            if cfg.grad_clip is not None:
-                clip_gradients(optimizer.parameters(), cfg.grad_clip)
-            optimizer.step()
-            ce_sum += loss.ce
-            omega_sum += loss.omega
+        for ce, omega in losses:
+            ce_sum += ce
+            omega_sum += omega
         for i in range(params.config.share_depth):
             assert params.pred_layers[i] is params.gen_layers[i], "sharing alias broken"
         record = EpochRecord(
             epoch=epoch_idx + 1,
-            train_ce=ce_sum / len(batches),
-            train_omega=omega_sum / len(batches),
-            train_loss=(ce_sum + omega_sum) / len(batches),
+            train_ce=ce_sum / len(losses),
+            train_omega=omega_sum / len(losses),
+            train_loss=(ce_sum + omega_sum) / len(losses),
             dev_acc=0.0,
             dev_sparsity=0.0,
         )
@@ -340,21 +347,14 @@ def pretrain_skewed_predictor(
         raise ValueError("pretrain_skewed_predictor requires mode='skewed_predictor'")
     parts = params.partitions()
     optimizer = Adam([(parts["predictor"] + parts["shared"], skew.lr)])
-    shuffle_ss = np.random.SeedSequence(skew.seed).spawn(1)[0]
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    for _ in range(int(skew.k)):
-        batches = make_batches(
-            splits.train,
-            params.vocab,
-            skew.batch_size,
-            seed=int(shuffle_rng.integers(2**31)),
-            shuffle=True,
-        )
-        for batch in batches:
-            mask = _predictor_pretrain_mask(batch, skew, token_classes, params.vocab)
-            optimizer.zero_grad()
-            mdl.loss_and_grads(params, batch, _ZERO_OBJECTIVE, mode="eval", force_mask=mask)
-            optimizer.step()
+
+    def step(batch, epoch: int) -> None:
+        mask = _predictor_pretrain_mask(batch, skew, token_classes, params.vocab)
+        mdl.loss_and_grads(params, batch, _ZERO_OBJECTIVE, mode="eval", force_mask=mask)
+
+    epochs = _epochs(optimizer, splits.train, params.vocab, skew.batch_size, skew.seed, step)
+    for _ in zip(range(int(skew.k)), epochs):
+        pass
     return params
 
 
@@ -392,27 +392,18 @@ def pretrain_skewed_generator(
         raise ValueError("pretrain_skewed_generator requires mode='skewed_generator'")
     parts = params.partitions()
     optimizer = Adam([(parts["generator"] + parts["shared"], skew.lr)])
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence(skew.seed).spawn(1)[0])
+
+    def step(batch, epoch: int) -> None:
+        p0, states, caches = _first_token_probs(params, batch, with_cache=True)
+        da0 = (p0 - batch.labels) / len(batch)  # sigmoid + BCE
+        dstates = np.zeros_like(states)
+        dstates[:, :1] = mdl._gen_head_backward(params, states[:, :1], da0[:, None])
+        demb = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask)
+        mdl._scatter_embedding_grad(params, batch.token_ids, demb)
+
+    epochs = _epochs(optimizer, splits.train, params.vocab, skew.batch_size, skew.seed, step)
     best_acc = 0.0
-    for _ in range(skew.epoch_cap):
-        batches = make_batches(
-            splits.train,
-            params.vocab,
-            skew.batch_size,
-            seed=int(shuffle_rng.integers(2**31)),
-            shuffle=True,
-        )
-        for batch in batches:
-            optimizer.zero_grad()
-            p0, states, caches = _first_token_probs(params, batch, with_cache=True)
-            da0 = (p0 - batch.labels) / len(batch)  # sigmoid + BCE
-            params.gen_head.W.grad += (da0[:, None] * states[:, 0, :]).sum(axis=0)[None, :]
-            params.gen_head.b.grad += da0.sum()
-            dstates = np.zeros_like(states)
-            dstates[:, 0, :] = da0[:, None] * params.gen_head.W.value[0]
-            demb = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask)
-            mdl._scatter_embedding_grad(params, batch.token_ids, demb)
-            optimizer.step()
+    for _ in zip(range(skew.epoch_cap), epochs):
         acc = _first_token_accuracy(params, splits.train, skew.batch_size)
         best_acc = max(best_acc, acc)
         if acc > skew.k:

@@ -4,6 +4,7 @@ import argparse
 import json
 import multiprocessing
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from rationalift import cli
 from rationalift import data as dat
 from rationalift import model as mdl
+from rationalift import objective as obj
 from rationalift import training
 
 
@@ -56,7 +58,8 @@ class TestConfigFile:
         assert cli.main(["train", "--config", str(path)]) == 2
         assert "not_a_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["num_classes = 2", "per_direction = false"])
+    @pytest.mark.parametrize("line", ["num_classes = 2", "per_direction = false",
+                                      "grad_clip = 1.0"])
     def test_removed_model_keys_rejected(self, tmp_path, capsys, line):
         path = tmp_path / "old.cfg"
         path.write_text(TINY_SYNTH + line + "\n")
@@ -68,6 +71,17 @@ class TestConfigFile:
         path.write_text("epochs = soon\n")
         assert cli.main(["train", "--config", str(path)]) == 2
         assert "epochs" in capsys.readouterr().err
+
+    def test_every_key_is_read(self):
+        """Each key feeds a field of a config object (`synth_`- and `skew_`-keys
+        with their prefix) or is one of the data and CLI keys below, so a key
+        that nothing reads fails here."""
+        fed = {f.name for cls in (mdl.ModelConfig, training.TrainConfig, obj.ObjectiveConfig)
+               for f in fields(cls)}
+        fed |= {"synth_" + f.name for f in fields(dat.SynthConfig)}
+        fed |= {"skew_" + f.name for f in fields(training.SkewConfig)}
+        fed |= {"data", "min_freq", "embeddings_path", "aspect", "domain", "skew_kind"}
+        assert [k for k in cli.CONFIG_SCHEMA if k not in fed and not k.endswith("_path")] == []
 
 
 class TestTrainCommand:
@@ -145,6 +159,21 @@ class TestSkewCommand:
         assert "never exceeded 0.99" in capsys.readouterr().err
         assert not (tmp_path / "skew" / "final.json").exists()
 
+    def test_non_finite_pretraining_gradient_exits_3(self, synth_cfg, tmp_path, monkeypatch,
+                                                     capsys):
+        scatter = mdl._scatter_embedding_grad
+
+        def poisoned(params, *args):
+            scatter(params, *args)
+            params.pred_head.b.grad[...] = np.nan
+
+        monkeypatch.setattr(mdl, "_scatter_embedding_grad", poisoned)
+        code = cli.main(["skew", "--config", str(synth_cfg), "--kind", "predictor",
+                         "--k", "1", "--out", str(tmp_path / "skew")])
+        assert code == 3
+        assert "non-finite gradient of pred_head.b" in capsys.readouterr().err
+        assert not (tmp_path / "skew" / "final.json").exists()
+
 
 class TestGridCommand:
     def test_grid_children_and_outputs(self, synth_cfg, tmp_path):
@@ -183,17 +212,21 @@ class TestGridCommand:
 
     def test_medians_equal_lr_grid(self, synth_cfg, tmp_path):
         # two seeds: each median is the mean of two cell scores, which equals
-        # lr_grid's only if the CLI scores cells by their unrounded F1
+        # lr_grid's only if the CLI scores cells by their unrounded F1; without
+        # the sparsity term the two columns differ, so a swap would show
+        config = tmp_path / "dense.cfg"
+        config.write_text(synth_cfg.read_text() + "lambda1 = 0.0\n")
         out = tmp_path / "grid4"
         gen_rates, pred_rates, seeds = [2e-3], [1e-3, 4e-4], [0, 1]
-        argv = ["grid", "--config", str(synth_cfg), "--gen-rates", "2e-3",
+        argv = ["grid", "--config", str(config), "--gen-rates", "2e-3",
                 "--pred-rates", "1e-3,4e-4", "--seeds", "0,1", "--out", str(out),
                 "--epochs", "1"]
         assert cli.main(argv) == 0
-        cfg = cli.resolve_config(argparse.Namespace(config=str(synth_cfg), epochs=1, mode="rnp"))
+        cfg = cli.resolve_config(argparse.Namespace(config=str(config), epochs=1, mode="rnp"))
         splits, vocab, embeddings, _ = cli.resolve_data(cfg)
         result = training.lr_grid(cli._model_config(cfg), vocab, splits, cli._train_config(cfg),
                                   gen_rates, pred_rates, seeds, embeddings=embeddings)
+        assert result.median_f1[0, 0] != result.median_f1[0, 1]
         assert json.loads((out / "grid.json").read_text())["median_f1"] == (
             result.median_f1.tolist()
         )

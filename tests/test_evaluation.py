@@ -77,14 +77,6 @@ class TestTokenPRF:
         if p > 0 and r > 0:
             assert min(p, r) - 1e-12 <= f1 <= max(p, r) + 1e-12
 
-    def test_macro_averaging_flag(self):
-        pred = [[1, 0], [0, 1]]
-        gold = [[1, 0], [1, 0]]
-        micro = token_prf(pred, gold, average="micro")
-        macro = token_prf(pred, gold, average="macro")
-        assert micro == pytest.approx((0.5, 0.5, 0.5))
-        assert macro == pytest.approx((0.5, 0.5, 0.5))
-
 
 class TestSparsityAccuracy:
     def test_all_zero(self):
@@ -251,12 +243,6 @@ class TestProbes:
         a = lemma3_probe(params, [sent])
         b = lemma3_probe(params, [sent])
         assert a.to_json() == b.to_json()
-
-    def test_insertion_pad_at_end_is_exactly_ignored(self, probe_world):
-        _, splits, _, params = probe_world
-        report = insertion_probe(params, list(splits.annotation)[:3], token=None,
-                                 as_pad=True)
-        assert report.summary["max_delta"] == 0.0
 
     def test_insertion_without_examples_rejected(self, probe_world):
         cfg, _, _, params = probe_world

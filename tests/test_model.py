@@ -378,6 +378,15 @@ class TestPoolingAndPredict:
         logits = predict(params, params.embedding.value[batch.token_ids], batch.pad_mask)
         assert logits.shape == (len(batch), 2)
 
+    def test_appended_pad_is_ignored_exactly(self, tiny_world):
+        _, splits, vocab = tiny_world
+        params = build_model(ModelConfig(embedding_dim=4, hidden_dim=6), vocab, seed=2)
+        batch = _tiny_batch(splits, vocab)
+        padded = np.concatenate([batch.token_ids, np.full((len(batch), 1), PAD_ID)], axis=1)
+        pad_mask = np.concatenate([batch.pad_mask, np.zeros((len(batch), 1))], axis=1)
+        plain = predict(params, params.embedding.value[batch.token_ids], batch.pad_mask)
+        assert np.array_equal(predict(params, params.embedding.value[padded], pad_mask), plain)
+
 
 class TestForward:
     def test_forced_ones_equals_plain_classifier(self, tiny_world):
@@ -385,7 +394,7 @@ class TestForward:
         cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
         params = build_model(cfg, vocab, seed=1)
         batch = _tiny_batch(splits, vocab)
-        out = forward(params, batch, mode="train", force_mask="ones")
+        out = forward(params, batch, mode="train", force_mask=batch.pad_mask)
         plain = predict(params, params.embedding.value[batch.token_ids], batch.pad_mask)
         assert np.allclose(out.logits, plain)
 

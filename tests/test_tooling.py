@@ -26,9 +26,13 @@ def test_configs_and_demos_present():
 @pytest.mark.parametrize("path", CONFIGS, ids=_names(CONFIGS))
 def test_config_parses_and_builds(path):
     assert cli.read_config_file(path)
-    cfg = cli.resolve_config(argparse.Namespace(config=str(path)))
+    # the skew preset's usage line passes --kind generator --k 0.9
+    cfg = cli.resolve_config(argparse.Namespace(config=str(path), kind="generator", k=0.9))
     cli._model_config(cfg)
     cli._train_config(cfg)
+    cli._config(data.SynthConfig, cfg, "synth_")
+    if path.stem.startswith("synth_skew"):
+        cli._skew_config(cfg)
 
 
 def _rationalift_imports(path: Path):
