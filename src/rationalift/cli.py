@@ -3,8 +3,13 @@
 Every run writes a manifest (command, resolved config, seed, artifact paths)
 before training starts, a metrics JSON-lines stream with one record per epoch,
 a final metrics JSON, and a checkpoint.  Config precedence is CLI flag >
-config file > built-in default; the manifest echoes the fully resolved config
-so a run can be replayed without the original shell invocation.
+config file > default; a key's default is that of the config-object field it
+feeds (CONFIG_SCHEMA), and the manifest echoes the fully resolved config so a
+run can be replayed without the original shell invocation.
+
+Each command takes only the flags it reads (see `build_parser`), so a flag it
+would ignore exits 2: grid cells are two-phase, with rates from --gen-rates and
+--pred-rates, and eval and probe read only a config's corpus keys.
 
 Exit codes: 0 ok, 2 usage, config or corpus error (ConfigError, CorpusError,
 FileNotFoundError), 3 training failure (DivergenceError: a non-finite loss or
@@ -21,9 +26,9 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 from . import data, evaluation, model as mdl, objective as obj, training
 
@@ -34,37 +39,12 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (type, default); booleans accept true/false/1/0/yes/no
-CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    # model
-    "embedding_dim": (int, 100),
-    "hidden_dim": (int, 200),
-    "num_layers": (int, 1),
+# the keys with a default of their own: those that feed no defaulted
+# config-object field, and share_depth, whose None follows --mode
+_OWN_KEYS: dict[str, tuple[type, object]] = {
     "share_depth": (int, None),  # None -> num_layers (folded) unless --mode rnp
-    "temperature": (float, 1.0),
-    "train_embedding": (bool, True),
-    # objective
-    "lambda1": (float, 1.0),
-    "lambda2": (float, 0.05),
-    "alpha": (float, 0.15),
-    "coherence_normalized": (bool, False),
-    # training
-    "lr_gen": (float, 1e-3),
-    "lr_pred": (float, 1e-3),
-    "lr_shared": (float, None),
-    "batch_size": (int, 64),
-    "epochs": (int, 30),
-    "seed": (int, 0),
-    "max_len": (int, 256),
-    "delta_sparsity": (float, 0.05),
-    # skew
     "skew_kind": (str, None),
     "skew_k": (float, None),
-    "skew_batch_size": (int, 500),
-    "skew_lr": (float, 1e-3),
-    "skew_predictor_input": (str, "first_sentence"),
-    "skew_epoch_cap": (int, 20),
-    # data
     "data": (str, "synth"),
     "min_freq": (int, 1),
     "embeddings_path": (str, None),
@@ -73,23 +53,43 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "annotation_path": (str, None),
     "aspect": (str, ""),
     "domain": (str, None),
-    "synth_vocab_size": (int, 100),
-    "synth_doc_length": (int, 20),
-    "synth_span_length": (int, 3),
-    "synth_marker_correlation": (float, 0.0),
-    "synth_seed": (int, 0),
-    "synth_train_size": (int, 1000),
-    "synth_dev_size": (int, 300),
-    "synth_annotation_size": (int, 200),
-    "synth_informative_per_class": (int, 40),
-    "synth_marker_count": (int, 1),
 }
+
+# the config objects whose fields are keys, each with its key prefix and the
+# fields the CLI gives itself
+_CONFIG_OBJECTS = (
+    (mdl.ModelConfig, "", ()),
+    (obj.ObjectiveConfig, "", ()),
+    (training.TrainConfig, "", ("objective",)),
+    (training.SkewConfig, "skew_", ("mode", "seed")),
+    (data.SynthConfig, "synth_", ()),
+)
+
+
+def _field_keys() -> dict[str, tuple[type, object]]:
+    """key -> (type, default) for each field with a default value."""
+    keys = {}
+    for cls, prefix, given in _CONFIG_OBJECTS:
+        types = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in given and f.default is not MISSING:
+                keys[prefix + f.name] = (types[f.name], f.default)
+    return keys
+
+
+# key -> (type, default); booleans accept true/false/1/0/yes/no
+CONFIG_SCHEMA: dict[str, tuple[type, object]] = {**_field_keys(), **_OWN_KEYS}
 
 
 def _parse_value(key: str, raw: str):
-    typ, _ = CONFIG_SCHEMA[key]
+    typ, default = CONFIG_SCHEMA[key]
     raw = raw.strip()
     if raw.lower() in ("none", ""):
+        if default is not None:
+            raise ConfigError(
+                f"config key {key!r}: got {raw!r}, but it takes a value (leave the key out "
+                f"for its default {default!r})"
+            )
         return None
     if typ is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
@@ -245,7 +245,6 @@ def write_manifest(
             "checkpoint": str(out_dir / "checkpoint.npz"),
             "metrics": str(out_dir / "metrics.jsonl"),
             "final": str(out_dir / "final.json"),
-            "reports": str(out_dir / "reports"),
         },
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -310,13 +309,12 @@ def _run_training(
     splits: data.Splits,
     token_classes,
 ) -> evaluation.EvalRun:
-    """Train, then write the run's metrics stream, checkpoint, reports/, masks
-    and final metrics; final.json comes last."""
+    """Train, then write the run's metrics stream, checkpoint, masks and final
+    metrics; final.json comes last."""
     best, history = training.train(params, splits, train_cfg, token_classes=token_classes)
     _write_metrics_stream(out_dir, history)
-    run = evaluation.evaluate_model(best, _final_split(splits), max_len=cfg["max_len"])
+    run = evaluation.evaluate_model(best, _final_split(splits))
     mdl.save_checkpoint(out_dir / "checkpoint.npz", best, meta={"config": cfg})
-    (out_dir / "reports").mkdir(exist_ok=True)
     _write_final(out_dir, run)
     return run
 
@@ -325,16 +323,18 @@ def _train_run(
     args: argparse.Namespace, argv: Sequence[str], cfg: dict, command: str, run_name: str,
     pretrain=None,
 ) -> int:
-    """The set-up and run shared by train and skew: data, run directory,
-    manifest, corpora, the model, an optional `pretrain(params, splits,
-    token_classes) -> manifest entries`, then `_run_training`."""
+    """The set-up and run shared by train and skew: config objects, data, run
+    directory, manifest, corpora, the model, an optional `pretrain(params,
+    splits, token_classes) -> manifest entries`, then `_run_training`.  A
+    rejected config stops it before anything is written."""
+    model_cfg, train_cfg = _model_config(cfg), _train_config(cfg)
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
     out_dir = _run_dir(args, cfg, run_name)
     write_manifest(out_dir, command, argv, cfg)
     _emit_synth_corpora(out_dir, cfg, splits)
-    params = mdl.build_model(_model_config(cfg), vocab, embeddings=embeddings, seed=cfg["seed"])
+    params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=cfg["seed"])
     extra = pretrain(params, splits, token_classes) if pretrain is not None else None
-    run = _run_training(out_dir, cfg, _train_config(cfg), params, splits, token_classes)
+    run = _run_training(out_dir, cfg, train_cfg, params, splits, token_classes)
     if extra is not None:
         _amend_manifest(out_dir, extra)
     print(json.dumps(run.metrics.as_json_dict(), sort_keys=True))
@@ -379,6 +379,7 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     cfg["share_depth"] = 0
     cfg["mode"] = "rnp"
+    model_cfg, base_cfg = _model_config(cfg), _train_config(cfg)
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
     if splits.annotation is None:
         raise ConfigError("the grid needs an annotation split to score F1")
@@ -405,7 +406,7 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
         return run.metrics.f1
 
     median = training.lr_grid(
-        _model_config(cfg), vocab, splits, _train_config(cfg), gen_rates, pred_rates, seeds,
+        model_cfg, vocab, splits, base_cfg, gen_rates, pred_rates, seeds,
         embeddings=embeddings, run_cell=run_cell,
     ).median_f1
     with data.atomic_write(out_dir / "grid.csv") as fh:
@@ -501,7 +502,7 @@ def cmd_eval(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ConfigError(f"no {args.split} split available")
     out_dir = Path(args.out) if args.out else _out_root() / f"eval-{args.split}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    run = evaluation.evaluate_model(params, dataset, max_len=cfg["max_len"])
+    run = evaluation.evaluate_model(params, dataset)
     _write_final(out_dir, run)
     if args.render is not None:
         report = evaluation.render_rationales(
@@ -520,23 +521,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, trains: bool = False,
+                   picks_model: bool = False) -> None:
+        """The flags a command reads: every command --config, --seed and --out;
+        one that trains also --epochs and --alpha; one that picks its model's
+        sharing and learning rates (train, skew) also --mode, --share-depth,
+        --lr-gen and --lr-pred."""
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--mode", choices=["fr", "rnp"], help="encoder sharing preset")
-        p.add_argument("--share-depth", dest="share_depth", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default under $RATIONALIFT_OUT)")
-        p.add_argument("--lr-gen", dest="lr_gen", type=float)
-        p.add_argument("--lr-pred", dest="lr_pred", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--alpha", type=float)
+        if trains:
+            p.add_argument("--epochs", type=int)
+            p.add_argument("--alpha", type=float)
+        if picks_model:
+            p.add_argument("--mode", choices=["fr", "rnp"], help="encoder sharing preset")
+            p.add_argument("--share-depth", type=int)
+            p.add_argument("--lr-gen", type=float)
+            p.add_argument("--lr-pred", type=float)
 
     p_train = sub.add_parser("train", help="joint cooperative training")
-    add_common(p_train)
+    add_common(p_train, trains=True, picks_model=True)
     p_train.set_defaults(func=cmd_train)
 
     p_skew = sub.add_parser("skew", help="skew pretraining followed by joint training")
-    add_common(p_skew)
+    add_common(p_skew, trains=True, picks_model=True)
     p_skew.add_argument("--kind", choices=["generator", "predictor"], required=True)
     p_skew.add_argument(
         "--k", type=float, required=True,
@@ -545,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_skew.set_defaults(func=cmd_skew)
 
     p_grid = sub.add_parser("grid", help="learning-rate grid for the two-phase baseline")
-    add_common(p_grid)
+    add_common(p_grid, trains=True)
     p_grid.add_argument("--gen-rates", dest="gen_rates", required=True)
     p_grid.add_argument("--pred-rates", dest="pred_rates", required=True)
     p_grid.add_argument("--seeds", default="0")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import html as html_mod
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -89,28 +89,25 @@ class EvalRun:
 
     ids: tuple[str, ...]
     masks: list[np.ndarray]  # per-example hard mask, truncated to true length
-    lengths: np.ndarray
     labels: np.ndarray
     logits: np.ndarray
     gold: Optional[list[np.ndarray]]
     metrics: RationaleMetrics
-    token_rows: list[tuple[str, ...]] = field(default_factory=list)
 
 
 EVAL_BATCH_SIZE = 256
 
 
-def evaluate_model(params: mdl.ModelParams, dataset: Dataset, max_len: int = 256) -> EvalRun:
+def evaluate_model(params: mdl.ModelParams, dataset: Dataset) -> EvalRun:
     """Run the model deterministically (threshold masks) and score it; P/R/F1
     are micro-averaged over tokens."""
-    batches = make_batches(dataset, params.vocab, EVAL_BATCH_SIZE, max_len=max_len)
+    batches = make_batches(dataset, params.vocab, EVAL_BATCH_SIZE)
     ids: list[str] = []
     masks: list[np.ndarray] = []
     gold: Optional[list[np.ndarray]] = [] if dataset.has_gold() else None
     lengths: list[int] = []
     labels: list[int] = []
     logits: list[np.ndarray] = []
-    token_rows: list[tuple[str, ...]] = []
     for batch in batches:
         out = mdl.forward(params, batch, mode="eval")
         for row in range(len(batch)):
@@ -131,17 +128,13 @@ def evaluate_model(params: mdl.ModelParams, dataset: Dataset, max_len: int = 256
         metrics = RationaleMetrics(s=s, acc=acc, p=p, r=r, f1=f1)
     else:
         metrics = RationaleMetrics(s=s, acc=acc)
-    for ex in dataset:
-        token_rows.append(ex.tokens)
     return EvalRun(
         ids=tuple(ids),
         masks=masks,
-        lengths=np.array(lengths),
         labels=labels_arr,
         logits=logits_arr,
         gold=gold,
         metrics=metrics,
-        token_rows=token_rows,
     )
 
 

@@ -576,9 +576,6 @@ class LossBreakdown:
     ce: float
     omega: float
     total: float
-    logits: np.ndarray
-    mask: MaskSample
-    mask_values: np.ndarray
 
 
 def _scatter_embedding_grad(params: ModelParams, token_ids: np.ndarray, demb: np.ndarray):
@@ -647,10 +644,7 @@ def loss_and_grads(
         )
 
     _scatter_embedding_grad(params, batch.token_ids, demb_full)
-    return LossBreakdown(
-        ce=ce, omega=omega, total=total, logits=out.logits, mask=out.mask,
-        mask_values=out.mask_values,
-    )
+    return LossBreakdown(ce=ce, omega=omega, total=total)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ import numpy as np
 @dataclass(frozen=True)
 class ObjectiveConfig:
     lambda1: float = 1.0
-    lambda2: float = 1.0
+    lambda2: float = 0.05
     alpha: float = 0.15
-    # Eq-style unnormalized transition sum by default; True divides it by l.
-    coherence_normalized: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -77,8 +75,6 @@ def _per_example_omega(
     pair_valid = valid[:, 1:] & valid[:, :-1]
     diffs = np.abs(np.where(pair_valid, mask[:, 1:] - mask[:, :-1], 0.0))
     coherence_term = diffs.sum(axis=1)
-    if cfg.coherence_normalized:
-        coherence_term = coherence_term / lengths
     return sparsity_term, coherence_term, valid
 
 
@@ -108,9 +104,8 @@ def sparsity_coherence_grad(
 
     pair_valid = valid[:, 1:] & valid[:, :-1]
     diff_sign = np.where(pair_valid, np.sign(mask[:, 1:] - mask[:, :-1]), 0.0)
-    coh_scale = cfg.lambda2 / lengths if cfg.coherence_normalized else np.full(batch, cfg.lambda2)
-    grad[:, 1:] += coh_scale[:, None] * diff_sign
-    grad[:, :-1] -= coh_scale[:, None] * diff_sign
+    grad[:, 1:] += cfg.lambda2 * diff_sign
+    grad[:, :-1] -= cfg.lambda2 * diff_sign
     grad /= batch
     return omega, grad
 

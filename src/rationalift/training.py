@@ -32,25 +32,17 @@ class PretrainThresholdError(RuntimeError):
 class TrainConfig:
     lr_gen: float = 1e-3
     lr_pred: float = 1e-3
-    lr_shared: Optional[float] = None  # shared parameters follow lr_gen when unset
     batch_size: int = 64
-    epochs: int = 20
+    epochs: int = 30
     seed: int = 0
-    max_len: int = 256
     delta_sparsity: float = 0.05
     objective: obj.ObjectiveConfig = field(default_factory=obj.ObjectiveConfig)
 
     def __post_init__(self) -> None:
         if self.lr_gen <= 0 or self.lr_pred <= 0:
             raise ValueError("learning rates must be positive")
-        if self.lr_shared is not None and self.lr_shared <= 0:
-            raise ValueError("lr_shared must be positive when given")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-
-    @property
-    def effective_lr_shared(self) -> float:
-        return self.lr_gen if self.lr_shared is None else self.lr_shared
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ def make_optimizer(params: mdl.ModelParams, cfg: TrainConfig) -> Adam:
         [
             (parts["generator"], cfg.lr_gen),
             (parts["predictor"], cfg.lr_pred),
-            (parts["shared"], cfg.effective_lr_shared),
+            (parts["shared"], cfg.lr_gen),
         ]
     )
 
@@ -170,7 +162,6 @@ def _epochs(
     batch_size: int,
     seed: int,
     step: Callable,
-    max_len: int = 256,
 ) -> Iterator[list]:
     """Training epochs without end: each shuffles `dataset` into batches from
     the first child stream of `seed` and, per batch, zeroes the gradients, runs
@@ -181,8 +172,7 @@ def _epochs(
     for epoch in itertools.count(1):
         results = []
         batches = make_batches(
-            dataset, vocab, batch_size, max_len=max_len,
-            seed=int(shuffle_rng.integers(2**31)), shuffle=True,
+            dataset, vocab, batch_size, seed=int(shuffle_rng.integers(2**31)), shuffle=True
         )
         for batch in batches:
             optimizer.zero_grad()
@@ -214,20 +204,19 @@ def select_model(history: TrainHistory, alpha: float, delta_sparsity: float = 0.
 def _evaluate_epoch(
     params: mdl.ModelParams,
     splits: Splits,
-    cfg: TrainConfig,
     token_classes: Optional[Mapping[str, str]],
     record: EpochRecord,
 ) -> None:
-    dev = evaluation.evaluate_model(params, splits.dev, max_len=cfg.max_len)
+    dev = evaluation.evaluate_model(params, splits.dev)
     record.dev_acc = dev.metrics.acc
     record.dev_sparsity = dev.metrics.s
     record.dev_f1 = dev.metrics.f1
     if token_classes is not None:
-        class_rows = [classify_tokens(toks, token_classes) for toks in dev.token_rows]
+        class_rows = [classify_tokens(ex.tokens, token_classes) for ex in splits.dev]
         record.marker_rate = evaluation.marker_inclusion_rate(dev.masks, class_rows)
         record.composition = evaluation.selection_composition(dev.masks, class_rows)
     if splits.annotation is not None:
-        ann = evaluation.evaluate_model(params, splits.annotation, max_len=cfg.max_len)
+        ann = evaluation.evaluate_model(params, splits.annotation)
         record.ann_acc = ann.metrics.acc
         record.ann_sparsity = ann.metrics.s
         record.ann_precision = ann.metrics.p
@@ -243,9 +232,8 @@ def train(
 ) -> tuple[mdl.ModelParams, TrainHistory]:
     """Joint cooperative training; returns the checkpoint chosen by select_model.
 
-    Generator-owned parameters step with lr_gen, predictor-owned with lr_pred,
-    shared with lr_shared (lr_gen unless set).  Fully deterministic given the
-    config seed.
+    Generator-owned and shared parameters step with lr_gen, predictor-owned
+    with lr_pred.  Fully deterministic given the config seed.
     """
     if cfg.epochs == 0:
         return params, []
@@ -262,8 +250,7 @@ def train(
         return loss.ce, loss.omega
 
     epochs = _epochs(
-        make_optimizer(params, cfg), splits.train, params.vocab, cfg.batch_size, cfg.seed,
-        step, max_len=cfg.max_len,
+        make_optimizer(params, cfg), splits.train, params.vocab, cfg.batch_size, cfg.seed, step
     )
     history: TrainHistory = []
     best_key: Optional[tuple] = None  # _selection_key of the snapshot epoch
@@ -283,7 +270,7 @@ def train(
             dev_acc=0.0,
             dev_sparsity=0.0,
         )
-        _evaluate_epoch(params, splits, cfg, token_classes, record)
+        _evaluate_epoch(params, splits, token_classes, record)
         history.append(record)
         key = _selection_key(record, cfg.objective.alpha, cfg.delta_sparsity)
         if best_key is None or key < best_key:  # strict: ties keep the earliest epoch
@@ -435,7 +422,7 @@ class GridResult:
 def _score_cell(params: mdl.ModelParams, splits: Splits, cfg: TrainConfig) -> float:
     """Annotation F1 of the checkpoint `train` selects."""
     best, _ = train(params, splits, cfg)
-    run = evaluation.evaluate_model(best, splits.annotation, max_len=cfg.max_len)
+    run = evaluation.evaluate_model(best, splits.annotation)
     return float(run.metrics.f1)
 
 

@@ -67,21 +67,31 @@ class TestConfigFile:
         assert line.split()[0] in capsys.readouterr().err
 
     def test_type_error_names_key(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("epochs = soon\n")
-        assert cli.main(["train", "--config", str(path)]) == 2
-        assert "epochs" in capsys.readouterr().err
+        # `none` and an empty value stand for None, which only a key whose
+        # default is None takes
+        for line in ("epochs = soon", "epochs =", "hidden_dim = none"):
+            path = tmp_path / "bad.cfg"
+            path.write_text(TINY_SYNTH + line + "\n")
+            out = tmp_path / "run"
+            assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2, line
+            assert line.split()[0] in capsys.readouterr().err
+            assert not out.exists()
 
     def test_every_key_is_read(self):
         """Each key feeds a field of a config object (`synth_`- and `skew_`-keys
         with their prefix) or is one of the data and CLI keys below, so a key
-        that nothing reads fails here."""
-        fed = {f.name for cls in (mdl.ModelConfig, training.TrainConfig, obj.ObjectiveConfig)
-               for f in fields(cls)}
-        fed |= {"synth_" + f.name for f in fields(dat.SynthConfig)}
-        fed |= {"skew_" + f.name for f in fields(training.SkewConfig)}
-        fed |= {"data", "min_freq", "embeddings_path", "aspect", "domain", "skew_kind"}
-        assert [k for k in cli.CONFIG_SCHEMA if k not in fed and not k.endswith("_path")] == []
+        that nothing reads fails here; and only the keys of the explicit table
+        carry a default of their own, so no default is stated twice."""
+        field_defaults = {f.name: f.default for cls in (mdl.ModelConfig, training.TrainConfig,
+                                                        obj.ObjectiveConfig) for f in fields(cls)}
+        field_defaults.update(("synth_" + f.name, f.default) for f in fields(dat.SynthConfig))
+        field_defaults.update(("skew_" + f.name, f.default) for f in fields(training.SkewConfig))
+        cli_keys = {"data", "min_freq", "embeddings_path", "aspect", "domain", "skew_kind"}
+        assert [k for k in cli.CONFIG_SCHEMA
+                if k not in field_defaults and k not in cli_keys and not k.endswith("_path")] == []
+        own = [k for k, (_, default) in cli.CONFIG_SCHEMA.items()
+               if k not in field_defaults or default != field_defaults[k]]
+        assert sorted(own) == sorted(cli._OWN_KEYS)
 
 
 class TestTrainCommand:
@@ -309,6 +319,24 @@ class TestExitCodes:
                          "--out", str(tmp_path / "bad")])
         assert code == 2
         assert "learning rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--lr-gen", "0"],
+        ["grid", "--alpha", "2", "--gen-rates", "1e-3", "--pred-rates", "1e-3"],
+    ], ids=["train", "grid"])
+    def test_rejected_config_writes_nothing(self, synth_cfg, tmp_path, argv):
+        out = tmp_path / "bad"
+        assert cli.main(argv + ["--config", str(synth_cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--mode", "fr", "--gen-rates", "1e-3", "--pred-rates", "1e-3"],
+        ["eval", "--lr-gen", "1e-3", "--checkpoint", "model.npz"],
+        ["probe", "--epochs", "3", "--checkpoint", "model.npz", "--probe", "lemma3"],
+    ], ids=["grid-mode", "eval-lr-gen", "probe-epochs"])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_skew_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "skew.cfg"

@@ -82,11 +82,6 @@ class TestSparsityCoherence:
         extended[:, :6] = np.where(np.arange(6) < lengths[:, None], mask, 0.0)
         assert sparsity_coherence(extended, lengths, CFG_UNIT) == pytest.approx(base, abs=1e-15)
 
-    def test_normalized_coherence_switch(self):
-        cfg = ObjectiveConfig(lambda1=0.0, lambda2=1.0, alpha=0.5, coherence_normalized=True)
-        mask = np.array([[1.0, 0.0, 1.0, 0.0]])
-        assert sparsity_coherence(mask, np.array([4]), cfg) == pytest.approx(3.0 / 4.0)
-
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_coherence_equals_block_count_oracle(self, bits):

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,33 @@ def test_config_parses_and_builds(path):
     cli._config(data.SynthConfig, cfg, "synth_")
     if path.stem.startswith("synth_skew"):
         cli._skew_config(cfg)
+
+
+def _documented_commands() -> list[str]:
+    """The `rationalift ...` lines of the README's CLI block, continuations
+    joined, and the `# rationalift ...` usage comments of the configs."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [" ".join(line.split()) for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("rationalift ")]
+    for path in CONFIGS:
+        lines += [line[2:] for line in path.read_text(encoding="utf-8").splitlines()
+                  if line.startswith("# rationalift ")]
+    return lines
+
+
+DOCUMENTED = _documented_commands()
+
+
+def test_every_command_documented():
+    assert {line.split()[1] for line in DOCUMENTED} == {"train", "skew", "grid", "eval", "probe"}
+
+
+@pytest.mark.parametrize("line", DOCUMENTED)
+def test_documented_command_parses(line):
+    """A documented command line that uses a flag its command does not take
+    (argparse exits 2) fails here."""
+    cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def _rationalift_imports(path: Path):

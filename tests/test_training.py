@@ -213,11 +213,15 @@ class TestPartitions:
         ids = {id(p) for plist in parts.values() for p in plist}
         assert id(params.embedding) not in ids
 
-    def test_shared_lr_defaults_to_generator_rate(self):
-        cfg = _train_cfg(lr_gen=3e-3, lr_pred=1e-4)
-        assert cfg.effective_lr_shared == 3e-3
-        cfg = _train_cfg(lr_gen=3e-3, lr_pred=1e-4, lr_shared=9e-4)
-        assert cfg.effective_lr_shared == 9e-4
+    def test_shared_parameters_step_at_generator_rate(self, small_world):
+        _, _, vocab = small_world
+        params = _model(vocab, share_depth=1)
+        parts = params.partitions()
+        assert parts["shared"]
+        rates = {id(e["p"]): e["lr"]
+                 for e in make_optimizer(params, _train_cfg(lr_gen=3e-3, lr_pred=1e-4))._entries}
+        for name, lr in (("generator", 3e-3), ("predictor", 1e-4), ("shared", 3e-3)):
+            assert {rates[id(p)] for p in parts[name]} == {lr}, name
 
 
 class TestFirstSentence:
