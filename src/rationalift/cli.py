@@ -8,8 +8,9 @@ feeds (CONFIG_SCHEMA), and the manifest echoes the fully resolved config so a
 run can be replayed without the original shell invocation.
 
 Each command takes only the flags it reads (see `build_parser`), so a flag it
-would ignore exits 2: grid cells are two-phase, with rates from --gen-rates and
---pred-rates, and eval and probe read only a config's corpus keys.
+would ignore exits 2: grid cells are two-phase (a config's share_depth other
+than 0 exits 2 too), with rates from --gen-rates and --pred-rates, and eval and
+probe read only a config's corpus keys.
 
 Exit codes: 0 ok, 2 usage, config or corpus error (ConfigError, CorpusError,
 FileNotFoundError), 3 training failure (DivergenceError: a non-finite loss or
@@ -377,8 +378,11 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
     gen_rates = _parse_list(args.gen_rates, "--gen-rates", float)
     pred_rates = _parse_list(args.pred_rates, "--pred-rates", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    cfg["share_depth"] = 0
-    cfg["mode"] = "rnp"
+    if cfg["share_depth"] != 0:
+        raise ConfigError(
+            f"the grid runs the two-phase model only; the config sets share_depth = "
+            f"{cfg['share_depth']} (unset it or set it to 0)"
+        )
     model_cfg, base_cfg = _model_config(cfg), _train_config(cfg)
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
     if splits.annotation is None:
@@ -456,8 +460,6 @@ def cmd_probe(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ConfigError(f"--max-examples must be at least 1, got {args.max_examples}")
     with _as_config_error():  # FileNotFoundError names the path
         params, _ = mdl.load_checkpoint(args.checkpoint)
-    out_dir = Path(args.out) if args.out else _out_root() / f"probe-{args.probe}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     token_classes = None
     needs_corpus = args.probe in ("insertion", "uninformative")
     splits = None
@@ -484,6 +486,8 @@ def cmd_probe(args: argparse.Namespace, argv: Sequence[str]) -> int:
         report = evaluation.uninformative_rationale_probe(
             params, dataset, token_classes, max_examples=args.max_examples
         )
+    out_dir = Path(args.out) if args.out else _out_root() / f"probe-{args.probe}"
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "probe.json", report.to_json() + "\n")
     _write_text(out_dir / "probe.html", evaluation.render_probe_html(report))
     print(json.dumps(report.summary, sort_keys=True))
@@ -557,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--gen-rates", dest="gen_rates", required=True)
     p_grid.add_argument("--pred-rates", dest="pred_rates", required=True)
     p_grid.add_argument("--seeds", default="0")
-    p_grid.set_defaults(func=cmd_grid)
+    p_grid.set_defaults(func=cmd_grid, mode="rnp")  # the grid is the two-phase baseline
 
     p_probe = sub.add_parser("probe", help="representation probes on a checkpoint")
     add_common(p_probe)

@@ -261,7 +261,56 @@ def _strict_encode(params: mdl.ModelParams, tokens: Sequence[str]) -> np.ndarray
     missing = [t for t in tokens if t not in params.vocab]
     if missing:
         raise CorpusError(f"probe token(s) not in vocabulary: {missing}")
-    return params.vocab.encode(tokens)[None, :]
+    return params.vocab.encode(tokens)
+
+
+def _padded(rows: Sequence[np.ndarray], fill: float, dtype) -> np.ndarray:
+    """Right-pad 1-D rows with `fill` into one (rows, longest row) array."""
+    out = np.full((len(rows), max(len(r) for r in rows)), fill, dtype=dtype)
+    for i, r in enumerate(rows):
+        out[i, : len(r)] = r
+    return out
+
+
+def _embedded_batches(
+    params: mdl.ModelParams,
+    id_rows: Sequence[np.ndarray],
+    mask_rows: Optional[Sequence[np.ndarray]] = None,
+):
+    """(embedded tokens, pad mask) for `id_rows` in padded batches of at most
+    `EVAL_BATCH_SIZE` rows.  Padding takes PAD_ID and pad-mask 0, as in
+    `evaluate_model`'s batches, so the encoder holds its state over it; each
+    row's embeddings are scaled by its `mask_rows` entry when given."""
+    for start in range(0, len(id_rows), EVAL_BATCH_SIZE):
+        chunk = id_rows[start : start + EVAL_BATCH_SIZE]
+        pad = _padded([np.ones(len(r)) for r in chunk], 0.0, np.float64)
+        emb = params.embedding.value[_padded(chunk, PAD_ID, np.int32)]
+        if mask_rows is not None:
+            mask = _padded(mask_rows[start : start + EVAL_BATCH_SIZE], 0.0, np.float64)
+            emb = mdl.apply_mask(emb, mask)
+        yield emb, pad
+
+
+def _predictor_softmax(
+    params: mdl.ModelParams,
+    id_rows: Sequence[np.ndarray],
+    mask_rows: Optional[Sequence[np.ndarray]] = None,
+) -> list[np.ndarray]:
+    """The predictor's softmax for each token-id row, one `predict` per batch."""
+    return [
+        row
+        for emb, pad in _embedded_batches(params, id_rows, mask_rows)
+        for row in softmax(mdl.predict(params, emb, pad))
+    ]
+
+
+def _token_states(params: mdl.ModelParams, layers, id_rows: Sequence[np.ndarray]) -> list:
+    """Each row's per-token states from `layers`, one `encode` per batch."""
+    states = []
+    for emb, pad in _embedded_batches(params, id_rows):
+        lengths = pad.sum(axis=1).astype(int)
+        states.extend(s[:n] for s, n in zip(mdl.encode(layers, emb, pad), lengths))
+    return states
 
 
 def _encoder_views(params: mdl.ModelParams) -> dict[str, list]:
@@ -269,13 +318,6 @@ def _encoder_views(params: mdl.ModelParams) -> dict[str, list]:
     if not params.config.is_folded:
         views["predictor"] = params.pred_layers
     return views
-
-
-def _token_states(params: mdl.ModelParams, layers, tokens: Sequence[str]) -> np.ndarray:
-    ids = _strict_encode(params, tokens)
-    emb = params.embedding.value[ids]
-    pad = np.ones(ids.shape, dtype=np.float64)
-    return mdl.encode(layers, emb, pad)[0]
 
 
 def lemma3_probe(
@@ -287,10 +329,12 @@ def lemma3_probe(
 
     A well-folded encoder carries an uninformative token's state through from
     the preceding token, so d(uninformative, prev) should be small relative to
-    d(informative, prev).
+    d(informative, prev).  Each view encodes the sentences in padded batches of
+    at most `EVAL_BATCH_SIZE`.
     """
     if token_class_rows is None:
         token_class_rows = [classify_tokens(s) for s in probe_sentences]
+    id_rows = [_strict_encode(params, s) for s in probe_sentences]
     tables: dict = {}
     summary: dict = {}
     representations: dict = {}
@@ -298,8 +342,8 @@ def lemma3_probe(
         rows = []
         uninf, inf = [], []
         reps = []
-        for sent, classes in zip(probe_sentences, token_class_rows):
-            states = _token_states(params, layers, sent)
+        view_states = _token_states(params, layers, id_rows)
+        for sent, classes, states in zip(probe_sentences, token_class_rows, view_states):
             reps.append({"tokens": list(sent), "states": states.tolist()})
             for i in range(1, len(sent)):
                 d = float(np.linalg.norm(states[i] - states[i - 1]))
@@ -330,34 +374,36 @@ def lemma3_probe(
     )
 
 
-def _predictor_softmax(params: mdl.ModelParams, token_ids: np.ndarray) -> np.ndarray:
-    emb = params.embedding.value[token_ids]
-    pad = (token_ids != PAD_ID).astype(np.float64)
-    logits = mdl.predict(params, emb, pad)
-    return softmax(logits)
-
-
 def insertion_probe(
     params: mdl.ModelParams,
     examples: Sequence[Example],
     token: str,
     positions: Optional[Sequence[int]] = None,
 ) -> ProbeReport:
-    """Max softmax shift of the predictor when one token is spliced into the text."""
+    """Max softmax shift of the predictor when one token is spliced into the text.
+
+    `positions` (default: every position 0..len) must lie in [0, len] of each
+    document.  A document's base text and all its insertion variants are
+    scored together, in padded batches of at most `EVAL_BATCH_SIZE` rows.
+    """
     if not examples:
         raise ValueError("the insertion probe needs at least one example")
+    if positions is not None:
+        for ex in examples:
+            bad = [pos for pos in positions if not 0 <= pos <= len(ex.tokens)]
+            if bad:
+                raise ValueError(
+                    f"insertion position {bad[0]} is outside [0, {len(ex.tokens)}]: "
+                    f"document {ex.id!r} has length {len(ex.tokens)}"
+                )
     tok_id = _strict_encode(params, [token])
     deltas = []
     for ex in examples:
         base_ids = _strict_encode(params, ex.tokens)
-        base = _predictor_softmax(params, base_ids)[0]
-        spots = positions if positions is not None else range(len(ex.tokens) + 1)
-        row = []
-        for pos in spots:
-            new_ids = np.concatenate([base_ids[:, :pos], tok_id, base_ids[:, pos:]], axis=1)
-            after = _predictor_softmax(params, new_ids)[0]
-            row.append(float(np.max(np.abs(after - base))))
-        deltas.append(row)
+        spots = positions if positions is not None else range(len(base_ids) + 1)
+        variants = [np.concatenate([base_ids[:pos], tok_id, base_ids[pos:]]) for pos in spots]
+        base, *after = _predictor_softmax(params, [base_ids] + variants)
+        deltas.append([float(np.max(np.abs(a - base))) for a in after])
     flat = [d for row in deltas for d in row]
     return ProbeReport(
         kind="insertion",
@@ -383,27 +429,33 @@ def uninformative_rationale_probe(
 
     A predictor that cannot distinguish uninformative selections produces
     near-identical outputs for all filler-only rationales, so the
-    filler/informative distance ratio should be far below 1.
+    filler/informative distance ratio should be far below 1.  All rationales
+    are scored in padded batches of at most `EVAL_BATCH_SIZE` rows.
     """
     rng = np.random.default_rng(seed)
-    filler_outputs = []
-    informative_outputs: dict[int, list[np.ndarray]] = {0: [], 1: []}
-    examples = list(dataset)[:max_examples]
-    for ex in examples:
+    id_rows, mask_rows, labels = [], [], []  # label None marks a filler-only rationale
+    for ex in list(dataset)[:max_examples]:
         ids = _strict_encode(params, ex.tokens)
         classes = classify_tokens(ex.tokens, token_classes)
         filler_positions = [i for i, c in enumerate(classes) if c == CLASS_FILLER]
-        pad = np.ones(ids.shape, dtype=np.float64)
         if len(filler_positions) >= rationale_size:
             chosen = rng.choice(filler_positions, size=rationale_size, replace=False)
             mask = np.zeros(len(ex.tokens))
             mask[chosen] = 1.0
-            emb = mdl.apply_mask(params.embedding.value[ids], mask[None, :])
-            filler_outputs.append(softmax(mdl.predict(params, emb, pad))[0])
+            id_rows.append(ids)
+            mask_rows.append(mask)
+            labels.append(None)
         if ex.gold_mask is not None and sum(ex.gold_mask) > 0:
-            mask = np.array(ex.gold_mask, dtype=np.float64)
-            emb = mdl.apply_mask(params.embedding.value[ids], mask[None, :])
-            informative_outputs[ex.label].append(softmax(mdl.predict(params, emb, pad))[0])
+            id_rows.append(ids)
+            mask_rows.append(np.array(ex.gold_mask, dtype=np.float64))
+            labels.append(ex.label)
+    filler_outputs = []
+    informative_outputs: dict[int, list[np.ndarray]] = {0: [], 1: []}
+    for label, out in zip(labels, _predictor_softmax(params, id_rows, mask_rows)):
+        if label is None:
+            filler_outputs.append(out)
+        else:
+            informative_outputs[label].append(out)
 
     def pairwise(outs: list[np.ndarray]) -> list[float]:
         return [

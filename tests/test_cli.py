@@ -329,6 +329,46 @@ class TestExitCodes:
         assert cli.main(argv + ["--config", str(synth_cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_grid_config_sharing_encoder_exits_2(self, synth_cfg, tmp_path, capsys):
+        # the grid is defined for the two-phase model; a config asking for
+        # sharing is rejected, not silently overridden
+        path = tmp_path / "shared.cfg"
+        path.write_text(synth_cfg.read_text() + "share_depth = 1\n")
+        out = tmp_path / "bad"
+        code = cli.main(["grid", "--config", str(path), "--gen-rates", "1e-3",
+                         "--pred-rates", "1e-3", "--out", str(out)])
+        assert code == 2
+        assert "share_depth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_config_share_depth_zero_runs(self, synth_cfg, tmp_path):
+        path = tmp_path / "rnp.cfg"
+        path.write_text(synth_cfg.read_text() + "share_depth = 0\n")
+        out = tmp_path / "grid"
+        assert cli.main(["grid", "--config", str(path), "--gen-rates", "1e-3",
+                         "--pred-rates", "1e-3", "--epochs", "1", "--out", str(out)]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        assert (resolved["share_depth"], resolved["mode"]) == (0, "rnp")
+
+    @pytest.mark.parametrize("case", ["missing-corpus", "unknown-token", "unknown-sentence"])
+    def test_failed_probe_writes_nothing(self, synth_cfg, trained_checkpoint, tmp_path, case):
+        config, extra = synth_cfg, []
+        if case == "missing-corpus":
+            config = tmp_path / "jsonl.cfg"
+            config.write_text(f"data = jsonl\ndomain = beer\n"
+                              f"train_path = {tmp_path / 'no-train.jsonl'}\n"
+                              f"dev_path = {tmp_path / 'no-dev.jsonl'}\n")
+            extra = ["--probe", "insertion"]
+        elif case == "unknown-token":
+            extra = ["--probe", "insertion", "--token", "not-a-token"]
+        else:
+            extra = ["--probe", "lemma3", "--sentence", "not-a-token here"]
+        out = tmp_path / "p"
+        code = cli.main(["probe", "--config", str(config), "--checkpoint",
+                         str(trained_checkpoint), "--out", str(out)] + extra)
+        assert code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["grid", "--mode", "fr", "--gen-rates", "1e-3", "--pred-rates", "1e-3"],
         ["eval", "--lr-gen", "1e-3", "--checkpoint", "model.npz"],

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationalift import data as dat
+from rationalift import evaluation as ev
 from rationalift import model as mdl
 from rationalift.data import SynthConfig, build_vocab, synth_generate
 from rationalift.evaluation import (
@@ -23,6 +24,7 @@ from rationalift.evaluation import (
     token_prf,
     uninformative_rationale_probe,
 )
+from rationalift.objective import softmax
 
 
 def _brute_force_prf(pred_masks, gold_masks):
@@ -276,6 +278,191 @@ class TestProbes:
                                                cfg.token_classes())
         assert report.summary["filler_median_distance"] is not None
         assert report.summary["informative_median_distance"] is not None
+
+
+# ---------------------------------------------------------------------------
+# Batched probes against a per-row B=1 reference
+# ---------------------------------------------------------------------------
+
+RTOL, ATOL = 1e-9, 1e-12
+
+
+def _ref_softmax(params, ids, mask=None):
+    """Predictor softmax of one unpadded row, scored alone (B=1)."""
+    emb = params.embedding.value[ids][None]
+    if mask is not None:
+        emb = mdl.apply_mask(emb, mask[None])
+    return softmax(mdl.predict(params, emb, np.ones((1, len(ids)))))[0]
+
+
+def _ref_insertion_deltas(params, examples, token, positions=None):
+    tok = params.vocab.encode([token])
+    deltas = []
+    for ex in examples:
+        ids = params.vocab.encode(ex.tokens)
+        base = _ref_softmax(params, ids)
+        spots = positions if positions is not None else range(len(ids) + 1)
+        deltas.append([
+            np.max(np.abs(_ref_softmax(params, np.insert(ids, pos, tok)) - base))
+            for pos in spots
+        ])
+    return deltas
+
+
+def _ref_uninformative(params, examples, token_classes, rationale_size=3, seed=0):
+    """Every rationale mask in scoring order, the filler outputs and the gold
+    outputs by label, drawn and scored one document at a time."""
+    rng = np.random.default_rng(seed)
+    masks, filler, informative = [], [], {0: [], 1: []}
+    for ex in examples:
+        ids = params.vocab.encode(ex.tokens)
+        classes = dat.classify_tokens(ex.tokens, token_classes)
+        spots = [i for i, c in enumerate(classes) if c == dat.CLASS_FILLER]
+        if len(spots) >= rationale_size:
+            mask = np.zeros(len(ids))
+            mask[rng.choice(spots, size=rationale_size, replace=False)] = 1.0
+            masks.append(mask)
+            filler.append(_ref_softmax(params, ids, mask))
+        if ex.gold_mask is not None and sum(ex.gold_mask) > 0:
+            gold = np.array(ex.gold_mask, dtype=np.float64)
+            masks.append(gold)
+            informative[ex.label].append(_ref_softmax(params, ids, gold))
+    return masks, filler, informative
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+
+
+def _close_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _close(np.asarray(g), w)
+
+
+@pytest.fixture(scope="module", params=[1, 0], ids=["folded", "two-phase"])
+def ragged_world(request, probe_world):
+    """Documents of lengths 4..10 (so batches carry padding) under a folded or
+    a two-phase model."""
+    cfg, splits, vocab, _ = probe_world
+    params = mdl.build_model(
+        mdl.ModelConfig(embedding_dim=8, hidden_dim=10, share_depth=request.param),
+        vocab, seed=3,
+    )
+    examples = [
+        dat.Example(ex.id, ex.tokens[:n], ex.label, gold_mask=ex.gold_mask[:n])
+        for ex, n in zip(splits.annotation, [10, 4, 7, 10, 5, 9, 6, 8, 10, 4, 7, 10])
+    ]
+    return cfg, params, examples
+
+
+class _PredictCounter:
+    """Wraps `model.predict`, recording each call's batch size."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        inner = mdl.predict
+
+        def counted(params, emb, pad):
+            self.rows.append(emb.shape[0])
+            return inner(params, emb, pad)
+
+        monkeypatch.setattr(mdl, "predict", counted)
+
+
+class TestBatchedProbes:
+    @pytest.mark.parametrize("positions", [None, (0, 2, 4)], ids=["all", "explicit"])
+    def test_insertion_matches_single_row_reference(self, ragged_world, positions):
+        cfg, params, examples = ragged_world
+        token = cfg.filler_tokens[0]
+        report = insertion_probe(params, examples, token, positions=positions)
+        want = _ref_insertion_deltas(params, examples, token, positions)
+        _close_rows(report.tables["deltas"], want)
+        flat = np.concatenate(want)
+        _close(report.summary["median_delta"], np.median(flat))
+        _close(report.summary["max_delta"], np.max(flat))
+
+    def test_insertion_runs_one_predict_per_document(self, ragged_world, monkeypatch):
+        cfg, params, examples = ragged_world
+        counter = _PredictCounter(monkeypatch)
+        insertion_probe(params, examples, cfg.filler_tokens[0])
+        assert counter.rows == [len(ex.tokens) + 2 for ex in examples]
+
+    def test_insertion_chunks_rows_beyond_batch_size(self, ragged_world, monkeypatch):
+        cfg, params, examples = ragged_world
+        token = cfg.filler_tokens[0]
+        monkeypatch.setattr(ev, "EVAL_BATCH_SIZE", 3)
+        counter = _PredictCounter(monkeypatch)
+        report = insertion_probe(params, examples, token)
+        assert max(counter.rows) == 3
+        assert len(counter.rows) == sum(-(-(len(ex.tokens) + 2) // 3) for ex in examples)
+        _close_rows(report.tables["deltas"], _ref_insertion_deltas(params, examples, token))
+
+    @pytest.mark.parametrize("batch_size", [256, 3], ids=["one-batch", "chunked"])
+    def test_lemma3_matches_single_row_reference(self, ragged_world, monkeypatch, batch_size):
+        _, params, examples = ragged_world
+        monkeypatch.setattr(ev, "EVAL_BATCH_SIZE", batch_size)
+        sentences = [list(ex.tokens) for ex in examples]
+        report = lemma3_probe(params, sentences)
+        views = {"generator": params.gen_layers}
+        if not params.config.is_folded:
+            views["predictor"] = params.pred_layers
+        assert set(report.representations) == set(views)
+        for name, layers in views.items():
+            want = [
+                mdl.encode(layers, params.embedding.value[params.vocab.encode(s)][None],
+                           np.ones((1, len(s))))[0]
+                for s in sentences
+            ]
+            _close_rows([r["states"] for r in report.representations[name]], want)
+            got_d = [row["distance_to_prev"] for row in report.tables[name]]
+            want_d = [np.linalg.norm(w[i] - w[i - 1]) for w in want for i in range(1, len(w))]
+            _close(got_d, want_d)
+
+    @pytest.mark.parametrize("batch_size", [256, 3], ids=["one-batch", "chunked"])
+    def test_uninformative_matches_single_row_reference(self, ragged_world, monkeypatch,
+                                                         batch_size):
+        cfg, params, examples = ragged_world
+        monkeypatch.setattr(ev, "EVAL_BATCH_SIZE", batch_size)
+        classes = cfg.token_classes()
+        ds = dat.Dataset("annotation", tuple(examples))
+        masks, filler, informative = _ref_uninformative(params, examples, classes,
+                                                        rationale_size=5, seed=5)
+        assert 0 < len(filler) < len(examples)  # some documents have too few fillers
+        seen = []
+        inner = mdl.apply_mask
+
+        def recording(emb, mask):
+            seen.extend(np.asarray(mask))
+            return inner(emb, mask)
+
+        monkeypatch.setattr(mdl, "apply_mask", recording)
+        report = uninformative_rationale_probe(params, ds, classes, rationale_size=5, seed=5)
+        # the same filler positions, drawn in the same order, and zero past each row's end
+        assert len(seen) == len(masks)
+        for got, want in zip(seen, masks):
+            assert got[: len(want)].tolist() == want.tolist()
+            assert not got[len(want) :].any()
+        assert report.tables["filler_argmax"] == [int(np.argmax(o)) for o in filler]
+        want_filler = [np.linalg.norm(filler[i] - filler[j])
+                       for i in range(len(filler)) for j in range(i + 1, len(filler))]
+        want_cross = [np.linalg.norm(a - b) for a in informative[0] for b in informative[1]]
+        _close(report.tables["filler_distances"], want_filler)
+        _close(report.tables["informative_distances"], want_cross)
+
+    @pytest.mark.parametrize("pos", [-1, 11])
+    def test_insertion_position_outside_document_rejected(self, probe_world, pos):
+        cfg, splits, _, params = probe_world
+        ex = splits.annotation[0]
+        with pytest.raises(ValueError, match=rf"position {pos}\b.*length {len(ex.tokens)}"):
+            insertion_probe(params, [ex], cfg.filler_tokens[0], positions=[0, pos])
+
+    def test_insertion_at_document_end_accepted(self, probe_world):
+        cfg, splits, _, params = probe_world
+        ex = splits.annotation[0]
+        report = insertion_probe(params, [ex], cfg.filler_tokens[0],
+                                 positions=[len(ex.tokens)])
+        assert len(report.tables["deltas"][0]) == 1
 
 
 class TestEvaluateModel:
