@@ -487,12 +487,11 @@ def pool_max(states: np.ndarray, pad_mask: np.ndarray, with_cache: bool = False)
     """Coordinate-wise max over real-token positions; zero vector if none."""
     masked = np.where(pad_mask[:, :, None] > 0, states, -np.inf)
     pooled = masked.max(axis=1)
-    argmax = masked.argmax(axis=1)
     empty = pad_mask.sum(axis=1) == 0
     if np.any(empty):
         pooled[empty] = 0.0
     if with_cache:
-        return pooled, {"argmax": argmax, "empty": empty, "shape": states.shape}
+        return pooled, {"argmax": masked.argmax(axis=1), "empty": empty, "shape": states.shape}
     return pooled
 
 
@@ -555,7 +554,9 @@ def forward(
         mask_values = np.asarray(force_mask, dtype=np.float64) * batch.pad_mask
     emb_masked = apply_mask(emb_full, mask_values)
     pred_states, pred_caches = _encode(params.pred_layers, emb_masked, batch.pad_mask, with_cache)
-    pooled, pool_cache = pool_max(pred_states, batch.pad_mask, with_cache=True)
+    pooled = pool_max(pred_states, batch.pad_mask, with_cache)
+    if with_cache:
+        pooled, pool_cache = pooled
     logits = params.pred_head.forward(pooled)
     cache = None
     if with_cache:

@@ -1,6 +1,10 @@
 """Optimization loops: joint cooperative training, asymmetric learning-rate
 grids, and the two skew-pretraining protocols that deliberately induce
-degeneration."""
+degeneration.
+
+With a free CPU, two kinds of work go to forked children (`_Forked`): the
+grid's cells, and `train`'s per-epoch evaluation while the next epoch trains.
+Results equal a single process's bit for bit."""
 
 from __future__ import annotations
 
@@ -202,26 +206,20 @@ def select_model(history: TrainHistory, alpha: float, delta_sparsity: float = 0.
 
 
 def _evaluate_epoch(
-    params: mdl.ModelParams,
-    splits: Splits,
-    token_classes: Optional[Mapping[str, str]],
-    record: EpochRecord,
-) -> None:
+    params: mdl.ModelParams, splits: Splits, class_rows: Optional[list[list[str]]]
+) -> dict:
+    """The evaluation fields of an epoch's `EpochRecord`; `class_rows` are the
+    dev documents' token classes, or None without a token-class map."""
     dev = evaluation.evaluate_model(params, splits.dev)
-    record.dev_acc = dev.metrics.acc
-    record.dev_sparsity = dev.metrics.s
-    record.dev_f1 = dev.metrics.f1
-    if token_classes is not None:
-        class_rows = [classify_tokens(ex.tokens, token_classes) for ex in splits.dev]
-        record.marker_rate = evaluation.marker_inclusion_rate(dev.masks, class_rows)
-        record.composition = evaluation.selection_composition(dev.masks, class_rows)
+    fields = dict(dev_acc=dev.metrics.acc, dev_sparsity=dev.metrics.s, dev_f1=dev.metrics.f1)
+    if class_rows is not None:
+        fields["marker_rate"] = evaluation.marker_inclusion_rate(dev.masks, class_rows)
+        fields["composition"] = evaluation.selection_composition(dev.masks, class_rows)
     if splits.annotation is not None:
-        ann = evaluation.evaluate_model(params, splits.annotation)
-        record.ann_acc = ann.metrics.acc
-        record.ann_sparsity = ann.metrics.s
-        record.ann_precision = ann.metrics.p
-        record.ann_recall = ann.metrics.r
-        record.ann_f1 = ann.metrics.f1
+        ann = evaluation.evaluate_model(params, splits.annotation).metrics
+        fields.update(ann_acc=ann.acc, ann_sparsity=ann.s, ann_precision=ann.p,
+                      ann_recall=ann.r, ann_f1=ann.f1)
+    return fields
 
 
 def train(
@@ -234,6 +232,12 @@ def train(
 
     Generator-owned and shared parameters step with lr_gen, predictor-owned
     with lr_pred.  Fully deterministic given the config seed.
+
+    With a free CPU (`_cpu_count()`), every epoch but the last is evaluated
+    on dev and annotation in a forked child, from its copy-on-write weights,
+    while the next epoch trains; the history and the returned weights equal
+    an in-process run's bit for bit.  Without one, as in a pool or grid
+    worker, no process is started.
     """
     if cfg.epochs == 0:
         return params, []
@@ -252,29 +256,50 @@ def train(
     epochs = _epochs(
         make_optimizer(params, cfg), splits.train, params.vocab, cfg.batch_size, cfg.seed, step
     )
+    class_rows = None
+    if token_classes is not None:
+        class_rows = [classify_tokens(ex.tokens, token_classes) for ex in splits.dev]
+    overlap = cfg.epochs > 1 and _cpu_count() > 1
     history: TrainHistory = []
     best_key: Optional[tuple] = None  # _selection_key of the snapshot epoch
     best_state: dict = {}
-    for epoch_idx, losses in zip(range(cfg.epochs), epochs):
-        ce_sum = omega_sum = 0.0
-        for ce, omega in losses:
-            ce_sum += ce
-            omega_sum += omega
-        for i in range(params.config.share_depth):
-            assert params.pred_layers[i] is params.gen_layers[i], "sharing alias broken"
-        record = EpochRecord(
-            epoch=epoch_idx + 1,
-            train_ce=ce_sum / len(losses),
-            train_omega=omega_sum / len(losses),
-            train_loss=(ce_sum + omega_sum) / len(losses),
-            dev_acc=0.0,
-            dev_sparsity=0.0,
-        )
-        _evaluate_epoch(params, splits, token_classes, record)
+
+    def settle(train_fields: dict, state: dict, eval_fields: dict) -> None:
+        nonlocal best_key, best_state
+        record = EpochRecord(**train_fields, **eval_fields)
         history.append(record)
         key = _selection_key(record, cfg.objective.alpha, cfg.delta_sparsity)
         if best_key is None or key < best_key:  # strict: ties keep the earliest epoch
-            best_key, best_state = key, params.state_dict()
+            best_key, best_state = key, state
+
+    pending = None  # (train fields, snapshot, forked evaluation) of the previous epoch
+    try:
+        for epoch_idx, losses in zip(range(cfg.epochs), epochs):
+            ce_sum = omega_sum = 0.0
+            for ce, omega in losses:
+                ce_sum += ce
+                omega_sum += omega
+            for i in range(params.config.share_depth):
+                assert params.pred_layers[i] is params.gen_layers[i], "sharing alias broken"
+            train_fields = dict(
+                epoch=epoch_idx + 1,
+                train_ce=ce_sum / len(losses),
+                train_omega=omega_sum / len(losses),
+                train_loss=(ce_sum + omega_sum) / len(losses),
+            )
+            if pending is not None:
+                done_fields, done_state, child = pending
+                settle(done_fields, done_state, child.result())
+                pending = None
+            state = params.state_dict()
+            if overlap and epoch_idx + 1 < cfg.epochs:
+                child = _Forked(lambda: _evaluate_epoch(params, splits, class_rows), "evaluation")
+                pending = (train_fields, state, child)
+            else:
+                settle(train_fields, state, _evaluate_epoch(params, splits, class_rows))
+    finally:
+        if pending is not None:
+            pending[-1].close()
     best = params.clone()
     best.load_state(best_state)
     return best, history
@@ -427,73 +452,104 @@ def _score_cell(params: mdl.ModelParams, splits: Splits, cfg: TrainConfig) -> fl
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on."""
+    """CPUs free for this process and the children it forks: those it may run
+    on, less one per live child of its own.  In a process that
+    `multiprocessing` started (a pool or grid worker, daemonic or not) it is
+    1, because its siblings take the other CPUs."""
+    import multiprocessing  # here, not at the top, so that `import rationalift` stays lean
+
+    if multiprocessing.parent_process() is not None:
+        return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, cpus - len(multiprocessing.active_children()))
 
 
-def _run_share(job: Callable[[int], float], ks: range, conn) -> None:
-    """A forked worker's body: run jobs `ks` and send back a dict of their
-    results, or a tuple of the exception that stopped them and its
-    formatted traceback."""
+def _run_child(job: Callable[[], object], conn) -> None:
+    """A forked child's body: send back `(True, job())`, or `(False,
+    (exception, formatted traceback))` if the job raised."""
     try:
-        outcome = {k: job(k) for k in ks}
+        outcome = (True, job())
     except Exception as exc:
-        outcome = (exc, traceback.format_exc())
+        outcome = (False, (exc, traceback.format_exc()))
     conn.send(outcome)
 
 
+class _Forked:
+    """`job()` running in a forked child, which inherits `job` (a closure need
+    not pickle) and the caller's memory, copy-on-write.  Call `result()` to
+    wait for it; on a path that may leave before that, `close()` stops and
+    joins the child."""
+
+    def __init__(self, job: Callable[[], object], role: str):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._role = role
+        # a child must not write out what the caller has buffered a second time
+        sys.stdout.flush()
+        sys.stderr.flush()
+        self._recv, send = ctx.Pipe(duplex=False)
+        self._child = ctx.Process(target=_run_child, args=(job, send))
+        self._child.start()
+        send.close()  # the child holds the only write end, so its death reads as EOF
+
+    def result(self):
+        """`job()`'s result, once the child has sent it and exited.  Its
+        exception is re-raised here with its type, the child's traceback as
+        its cause; a child that dies first raises RuntimeError."""
+        try:
+            ok, value = self._recv.recv()
+        except EOFError:
+            ok = None
+        self._recv.close()
+        self._child.join()  # it exits once it has sent its result, if it lived to
+        if ok is None:
+            raise RuntimeError(
+                f"{self._role} {self._child.name} exited with code {self._child.exitcode} "
+                "before sending its result"
+            )
+        if not ok:
+            exc, remote_tb = value
+            raise exc from RuntimeError(f"in {self._role} {self._child.name}:\n{remote_tb}")
+        return value
+
+    def close(self) -> None:
+        """Terminate the child if it is still running, then join it."""
+        if self._child.exitcode is None:
+            self._child.terminate()
+        self._child.join()
+        self._recv.close()
+
+
 def _map_forked(job: Callable[[int], float], n: int) -> list[float]:
-    """`[job(k) for k in range(n)]` on min(n, available CPUs) processes, the
+    """`[job(k) for k in range(n)]` on min(n, `_cpu_count()`) processes, the
     caller included, so that a tracer in the caller still sees its share.
 
     The caller runs the jobs with `k % workers == 0`; extra worker `w` is a
-    forked child that inherits `job` (a closure need not pickle) and runs
-    those with `k % workers == w`.  Results come back in job order and equal a
-    sequential loop's when each job depends only on `k`.  The first failure
-    seen is raised here with its type, the worker's traceback as its cause.
-    Every child is joined, after `terminate` on a failure, before this
-    returns or raises.
+    `_Forked` child that runs those with `k % workers == w`.  Results come
+    back in job order and equal a sequential loop's when each job depends only
+    on `k`.  The first failure seen is raised here with its type, the worker's
+    traceback as its cause.  Every child is joined, after `terminate` on a
+    failure, before this returns or raises.
     """
-    import multiprocessing  # here, not at the top, so that `import rationalift` stays lean
-
-    ctx = multiprocessing.get_context("fork")
     workers = min(n, _cpu_count())
-    # a child must not write out what the caller has buffered a second time
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []
+
+    def share(w: int) -> dict[int, float]:
+        return {k: job(k) for k in range(w, n, workers)}
+
+    children: list[_Forked] = []
     try:
         for w in range(1, workers):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_run_share, args=(job, range(w, n, workers), send))
-            child.start()
-            children.append((child, recv))
-            send.close()  # the child holds the only write end, so its death reads as EOF
-        results = {k: job(k) for k in range(0, n, workers)}
-        for child, recv in children:
-            try:
-                outcome = recv.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"grid worker {child.name} exited with code {child.exitcode} "
-                    "before sending its results"
-                ) from None
-            if isinstance(outcome, tuple):
-                exc, remote_tb = outcome
-                raise exc from RuntimeError(f"in grid worker {child.name}:\n{remote_tb}")
-            results.update(outcome)
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
+            children.append(_Forked(lambda w=w: share(w), "grid worker"))
+        results = share(0)
+        for child in children:
+            results.update(child.result())
     finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
+        for child in children:
+            child.close()
     return [results[k] for k in range(n)]
 
 

@@ -1,4 +1,5 @@
-"""Pin BLAS to one thread for the whole suite, before numpy is first imported.
+"""Pin BLAS to one thread for the whole suite, before numpy is first imported,
+and fail any test that leaves a child process running.
 
 The acceptance numbers depend on the BLAS thread count (a multi-threaded GEMM
 splits its work, and with it the rounding, by thread count), so a fixed count is
@@ -8,9 +9,12 @@ independent training runs over worker processes without oversubscribing the
 cores.
 """
 
+import multiprocessing
 import os
 import sys
 import warnings
+
+import pytest
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -18,3 +22,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 if "numpy" in sys.modules:
     warnings.warn("numpy was imported before tests/conftest.py ran; BLAS keeps its "
                   "default thread count and the acceptance numbers may differ")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """The grid's workers and `train`'s forked evaluations must all be joined
+    by the time the call that started them returns or raises."""
+    yield
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+        child.join()
+    assert not children, f"processes left running: {children}"

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import signal
 import time
 from dataclasses import replace
 
@@ -456,3 +457,136 @@ class TestParallelLrGrid:
         with pytest.raises(RuntimeError, match="exited with code 7"):
             _grid(splits, vocab, [0, 1], run_cell)
         assert multiprocessing.active_children() == []
+
+
+def _history_in_worker(world) -> list[dict]:
+    splits, vocab = world
+    _, history = train(_model(vocab, seed=3), splits, _train_cfg(epochs=3))
+    return [r.to_json_dict() for r in history]
+
+
+class TestOverlappedEvaluation:
+    """`train` evaluates each epoch but the last in a forked child while the
+    next epoch trains; the results must equal an in-process run's."""
+
+    @pytest.fixture
+    def evaluate_in_child(self, monkeypatch):
+        """Install `effect` to run in place of `_evaluate_epoch` in the child."""
+        _fake_cpus(monkeypatch, 2)
+        caller, evaluate = os.getpid(), training._evaluate_epoch
+
+        def install(effect):
+            def patched(*args):
+                if os.getpid() != caller:
+                    effect()
+                return evaluate(*args)
+
+            monkeypatch.setattr(training, "_evaluate_epoch", patched)
+
+        return install
+
+    @pytest.mark.parametrize("dev_only", [False, True], ids=["annotation", "dev_only"])
+    @pytest.mark.parametrize("with_classes", [False, True], ids=["no_classes", "token_classes"])
+    @pytest.mark.parametrize("share_depth", [1, 0], ids=["folded", "two_phase"])
+    def test_two_cpus_equal_one(self, small_world, monkeypatch, share_depth, with_classes,
+                                dev_only):
+        scfg, splits, vocab = small_world
+        if dev_only:
+            splits = dat.Splits(train=splits.train, dev=splits.dev)
+        token_classes = scfg.token_classes() if with_classes else None
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        # the recipe of test_selected_params_reproduce_selected_epoch, in band
+        cfg = _train_cfg(epochs=5, seed=3, lr_gen=2e-2, lr_pred=2e-2, delta_sparsity=0.4,
+                         objective=obj.ObjectiveConfig(lambda1=1.0, lambda2=0.05, alpha=0.5))
+        runs = []
+        for cpus in (1, 2):
+            _fake_cpus(monkeypatch, cpus)
+            best, history = train(_model(vocab, share_depth=share_depth, seed=7), splits, cfg,
+                                  token_classes=token_classes)
+            runs.append((history, best.state_dict()))
+        assert len(forks) == cfg.epochs - 1  # none at 1 CPU, none for the last epoch
+        (hist1, best1), (hist2, best2) = runs
+        assert hist1 == hist2  # every field, float ==: bit for bit
+        assert (hist2[0].ann_f1 is None) == dev_only
+        assert (hist2[0].marker_rate is None) != with_classes
+        assert best1.keys() == best2.keys()
+        for name in best1:
+            assert np.array_equal(best1[name], best2[name]), name
+
+    def test_divergence_while_child_pending(self, small_world, monkeypatch, evaluate_in_child):
+        _, splits, vocab = small_world
+        evaluate_in_child(lambda: time.sleep(60))
+        backward, calls = mdl.loss_and_grads, []
+
+        def diverge_in_epoch_2(*args, **kwargs):
+            loss = backward(*args, **kwargs)
+            calls.append(1)
+            return loss if len(calls) == 1 else replace(loss, total=float("nan"))
+
+        monkeypatch.setattr(mdl, "loss_and_grads", diverge_in_epoch_2)
+        start = time.monotonic()
+        with pytest.raises(DivergenceError, match="epoch 2"):
+            train(_model(vocab), splits, _train_cfg(epochs=3, batch_size=len(splits.train)))
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_keeps_its_type(self, small_world, evaluate_in_child):
+        _, splits, vocab = small_world
+
+        def fail():
+            raise ValueError("evaluation failed in the child")
+
+        evaluate_in_child(fail)
+        with pytest.raises(ValueError, match="failed in the child") as info:
+            train(_model(vocab), splits, _train_cfg(epochs=2))
+        assert "in evaluation" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_child_is_reported(self, small_world, evaluate_in_child):
+        _, splits, vocab = small_world
+        evaluate_in_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="exited with code -9"):
+            train(_model(vocab), splits, _train_cfg(epochs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_train_in_pool_worker(self, small_world, monkeypatch):
+        # Pool workers are daemonic and may not start children
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply(_history_in_worker, ((splits, vocab),))
+            pool.close()
+            pool.join()
+        assert in_worker == _history_in_worker((splits, vocab))
+
+    def test_grid_cells_fork_nothing_more(self, small_world, monkeypatch, tmp_path):
+        # the grid's processes take every CPU, so its cells evaluate in-process
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 2)
+        fork = os.fork
+
+        def logged_fork():
+            with open(tmp_path / "forks", "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        lr_grid(GRID_MODEL, vocab, splits, replace(GRID_TRAIN, epochs=3), *GRID_RATES, [0, 1])
+        assert (tmp_path / "forks").read_text().split() == [str(os.getpid())]  # the worker
+
+    def test_one_epoch_starts_no_process(self, small_world, monkeypatch):
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 2)
+
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _, history = train(_model(vocab), splits, _train_cfg(epochs=1))
+        assert len(history) == 1
