@@ -2,15 +2,17 @@
 grids, and the two skew-pretraining protocols that deliberately induce
 degeneration.
 
-With a free CPU, two kinds of work go to forked children (`_Forked`): the
-grid's cells, and `train`'s per-epoch evaluation while the next epoch trains.
-Results equal a single process's bit for bit."""
+With a free CPU (`model._cpu_count`), two kinds of work go to forked
+children (`_Forked`): the grid's cells, and `train`'s per-epoch evaluation
+while the next epoch trains.  A third use of a free CPU, a BiGRU layer's
+second direction on a thread, lives in `model`; its thread is joined before
+the layer returns, so none is alive when these fork.  Results equal a single
+process's bit for bit."""
 
 from __future__ import annotations
 
 import itertools
 import logging
-import os
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
@@ -233,7 +235,7 @@ def train(
     Generator-owned and shared parameters step with lr_gen, predictor-owned
     with lr_pred.  Fully deterministic given the config seed.
 
-    With a free CPU (`_cpu_count()`), every epoch but the last is evaluated
+    With a free CPU (`model._cpu_count()`), every epoch but the last is evaluated
     on dev and annotation in a forked child, from its copy-on-write weights,
     while the next epoch trains; the history and the returned weights equal
     an in-process run's bit for bit.  Without one, as in a pool or grid
@@ -259,7 +261,7 @@ def train(
     class_rows = None
     if token_classes is not None:
         class_rows = [classify_tokens(ex.tokens, token_classes) for ex in splits.dev]
-    overlap = cfg.epochs > 1 and _cpu_count() > 1
+    overlap = cfg.epochs > 1 and mdl._cpu_count() > 1
     history: TrainHistory = []
     best_key: Optional[tuple] = None  # _selection_key of the snapshot epoch
     best_state: dict = {}
@@ -451,22 +453,6 @@ def _score_cell(params: mdl.ModelParams, splits: Splits, cfg: TrainConfig) -> fl
     return float(run.metrics.f1)
 
 
-def _cpu_count() -> int:
-    """CPUs free for this process and the children it forks: those it may run
-    on, less one per live child of its own.  In a process that
-    `multiprocessing` started (a pool or grid worker, daemonic or not) it is
-    1, because its siblings take the other CPUs."""
-    import multiprocessing  # here, not at the top, so that `import rationalift` stays lean
-
-    if multiprocessing.parent_process() is not None:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, cpus - len(multiprocessing.active_children()))
-
-
 def _run_child(job: Callable[[], object], conn) -> None:
     """A forked child's body: send back `(True, job())`, or `(False,
     (exception, formatted traceback))` if the job raised."""
@@ -525,7 +511,7 @@ class _Forked:
 
 
 def _map_forked(job: Callable[[int], float], n: int) -> list[float]:
-    """`[job(k) for k in range(n)]` on min(n, `_cpu_count()`) processes, the
+    """`[job(k) for k in range(n)]` on min(n, `model._cpu_count()`) processes, the
     caller included, so that a tracer in the caller still sees its share.
 
     The caller runs the jobs with `k % workers == 0`; extra worker `w` is a
@@ -535,7 +521,7 @@ def _map_forked(job: Callable[[int], float], n: int) -> list[float]:
     traceback as its cause.  Every child is joined, after `terminate` on a
     failure, before this returns or raises.
     """
-    workers = min(n, _cpu_count())
+    workers = min(n, mdl._cpu_count())
 
     def share(w: int) -> dict[int, float]:
         return {k: job(k) for k in range(w, n, workers)}

@@ -1,5 +1,5 @@
 """Pin BLAS to one thread for the whole suite, before numpy is first imported,
-and fail any test that leaves a child process running.
+and fail any test that leaves a child process or a thread running.
 
 The acceptance numbers depend on the BLAS thread count (a multi-threaded GEMM
 splits its work, and with it the rounding, by thread count), so a fixed count is
@@ -12,6 +12,7 @@ cores.
 import multiprocessing
 import os
 import sys
+import threading
 import warnings
 
 import pytest
@@ -34,3 +35,13 @@ def no_process_left_running():
         child.terminate()
         child.join()
     assert not children, f"processes left running: {children}"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """A BiGRU layer's helper thread must be joined by the time the layer pass
+    that started it returns or raises, so that no thread is alive when
+    `train` or the grid forks."""
+    yield
+    threads = [t for t in threading.enumerate() if t is not threading.main_thread()]
+    assert not threads, f"threads left running: {threads}"

@@ -1,12 +1,16 @@
 """Model pipeline: shapes, sampling law, masking identities, gradients, persistence."""
 
 import json
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rationalift import data as dat
+from rationalift import model as mdl
 from rationalift import objective as obj
 from rationalift.data import MASK_ID, PAD_ID, Batch, SynthConfig, Vocabulary, build_vocab
 from rationalift.model import (
@@ -44,6 +48,31 @@ def tiny_world():
 
 def _tiny_batch(splits, vocab, max_len=7):
     return dat.make_batches(splits.train, vocab, batch_size=6, max_len=max_len)[0]
+
+
+def _padded_batch(splits, vocab):
+    """Six documents cut to lengths 6, 4, 2, 6, 5 and 3, padded to 6."""
+    full = dat.make_batches(splits.train, vocab, batch_size=6, max_len=6)[0]
+    lengths = np.array([6, 4, 2, 6, 5, 3])
+    pad_mask = (np.arange(6)[None, :] < lengths[:, None]).astype(np.float64)
+    return Batch(ids=full.ids, token_ids=np.where(pad_mask > 0, full.token_ids, PAD_ID),
+                 pad_mask=pad_mask, lengths=lengths, labels=full.labels)
+
+
+def _set_threading(monkeypatch, min_step=0, cpus=2):
+    """Fake `cpus` free CPUs and set `THREADED_MIN_STEP` to `min_step` (by
+    default, every layer pass threads); returns the list of threads started
+    from here on."""
+    monkeypatch.setattr(mdl, "THREADED_MIN_STEP", min_step)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    started, start = [], threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
 
 
 class TestBuildModel:
@@ -235,6 +264,90 @@ class TestBiGRULayer:
         assert np.array_equal(cached.mask.soft_mask, plain.mask.soft_mask)
 
 
+def _stack_pass(params, batch, dstates):
+    """States with and without cache, the input gradient and every parameter
+    gradient of one pass through the generator's encoder stack."""
+    params.zero_grads()
+    emb = params.embedding.value[batch.token_ids]
+    states, caches = encode(params.gen_layers, emb, batch.pad_mask, with_cache=True)
+    plain = encode(params.gen_layers, emb, batch.pad_mask)
+    dx = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask)
+    grads = [p.grad.copy() for layer in params.gen_layers for p in layer.parameters()]
+    return [states, plain, dx, *grads]
+
+
+class TestThreadedDirections:
+    """With a free CPU and a large step, a layer runs its backward direction
+    on a helper thread; the bits must equal the paired loop's."""
+
+    @pytest.fixture
+    def stack(self, tiny_world):
+        _, splits, vocab = tiny_world
+        cfg = ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=2, share_depth=0)
+        params = build_model(cfg, vocab, seed=5)
+        batch = _padded_batch(splits, vocab)
+        dstates = np.random.default_rng(2).normal(size=batch.pad_mask.shape + (6,))
+        return params, batch, dstates
+
+    def _assert_threaded_equals_pair(self, stack, monkeypatch):
+        pair = _stack_pass(*stack)
+        started = _set_threading(monkeypatch)
+        threaded = _stack_pass(*stack)
+        assert len(started) == 6  # 2 layers: a cached and a plain forward, a backward
+        assert len(pair) == 3 + 8 * 2
+        for a, b in zip(pair, threaded):
+            assert np.array_equal(a, b)
+
+    def test_threaded_equals_pair(self, stack, monkeypatch):
+        self._assert_threaded_equals_pair(stack, monkeypatch)
+
+    def test_threaded_equals_pair_under_fast_thread_switching(self, stack, monkeypatch):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._assert_threaded_equals_pair(stack, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("loop", ["_forward_steps", "_backward_steps"])
+    def test_helper_exception_keeps_its_type(self, stack, monkeypatch, loop):
+        class HelperFailure(Exception):
+            pass
+
+        steps = getattr(mdl, loop)
+
+        def fail_off_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise HelperFailure("the helper's direction failed")
+            return steps(*args)
+
+        _set_threading(monkeypatch)
+        monkeypatch.setattr(mdl, loop, fail_off_main_thread)
+        with pytest.raises(HelperFailure, match="helper's direction"):
+            _stack_pass(*stack)
+        assert threading.enumerate() == [threading.main_thread()]
+
+    @pytest.mark.parametrize("cpus, floor_above", [(2, 1), (1, 0)],
+                             ids=["below_floor", "one_cpu"])
+    def test_no_thread_below_floor_or_on_one_cpu(self, stack, monkeypatch, cpus, floor_above):
+        params, batch, _ = stack
+        step = batch.pad_mask.shape[0] * params.gen_layers[0].fw.hidden  # B * H: 18
+        _set_threading(monkeypatch, min_step=step + floor_above, cpus=cpus)
+
+        def no_start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        _stack_pass(*stack)
+
+    def test_floor_is_inclusive(self, stack, monkeypatch):
+        params, batch, _ = stack
+        step = batch.pad_mask.shape[0] * params.gen_layers[0].fw.hidden
+        started = _set_threading(monkeypatch, min_step=step)
+        _stack_pass(*stack)
+        assert len(started) == 6
+
+
 class TestGeneratorProbs:
     def test_zero_head_gives_half(self, tiny_world):
         _, splits, vocab = tiny_world
@@ -290,6 +403,12 @@ class TestSampleMask:
                         pad_mask=pad)
         assert s.hard_mask[0, 1] == 0.0
         assert s.soft_mask[0, 1] == 0.0
+
+    def test_numpy_integer_seed(self):
+        probs = np.array([[0.2, 0.7, 0.5, 0.9]])
+        a = sample_mask(probs, 0.7, mode="train", noise_seed=np.int64(3))
+        b = sample_mask(probs, 0.7, mode="train", noise_seed=3)
+        assert np.array_equal(a.soft_mask, b.soft_mask)
 
     def test_deterministic_given_seed(self):
         probs = np.random.default_rng(0).random((4, 9))
@@ -418,6 +537,15 @@ class TestForward:
         pred_states = encode(params.pred_layers, emb, batch.pad_mask)
         assert np.array_equal(gen_states, pred_states)
 
+    def test_numpy_integer_noise(self, tiny_world):
+        _, splits, vocab = tiny_world
+        params = build_model(ModelConfig(embedding_dim=4, hidden_dim=6), vocab, seed=0)
+        batch = _tiny_batch(splits, vocab)
+        a = forward(params, batch, mode="train", noise=np.int64(3))
+        b = forward(params, batch, mode="train", noise=3)
+        assert np.array_equal(a.mask.soft_mask, b.mask.soft_mask)
+        assert np.array_equal(a.logits, b.logits)
+
     def test_train_mode_requires_noise(self, tiny_world):
         _, splits, vocab = tiny_world
         cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
@@ -477,8 +605,12 @@ class TestGradients:
                 fd = (up - dn) / (2 * eps)
                 assert abs(fd - gflat[i]) <= 1e-9 + 1e-4 * max(abs(fd), abs(gflat[i])), p.name
 
-    def test_all_parameter_gradients_match_finite_differences(self, tiny_world):
+    @pytest.mark.parametrize("path", ["pair", "threaded"])
+    def test_all_parameter_gradients_match_finite_differences(self, tiny_world, monkeypatch,
+                                                              path):
         _, splits, vocab = tiny_world
+        if path == "threaded":
+            _set_threading(monkeypatch)
         cfg = ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=2, share_depth=1,
                           temperature=0.8)
         params = build_model(cfg, vocab, seed=1)
@@ -486,19 +618,18 @@ class TestGradients:
         ocfg = obj.ObjectiveConfig(lambda1=0.7, lambda2=0.4, alpha=0.3)
         self._check_all_gradients(params, batch, ocfg)
 
-    def test_gradients_match_finite_differences_on_padded_batch(self, tiny_world):
+    @pytest.mark.parametrize("path", ["pair", "threaded"])
+    def test_gradients_match_finite_differences_on_padded_batch(self, tiny_world, monkeypatch,
+                                                                path):
         # padded steps take the recurrence's hold branch, forward and backward
         _, splits, vocab = tiny_world
+        if path == "threaded":
+            _set_threading(monkeypatch)
         cfg = ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=2, share_depth=1,
                           temperature=0.8)
         params = build_model(cfg, vocab, seed=1)
-        full = dat.make_batches(splits.train, vocab, batch_size=6, max_len=6)[0]
-        lengths = np.array([6, 4, 2, 6, 5, 3])
-        pad_mask = (np.arange(6)[None, :] < lengths[:, None]).astype(np.float64)
-        batch = Batch(ids=full.ids, token_ids=np.where(pad_mask > 0, full.token_ids, PAD_ID),
-                      pad_mask=pad_mask, lengths=lengths, labels=full.labels)
         ocfg = obj.ObjectiveConfig(lambda1=0.7, lambda2=0.4, alpha=0.3)
-        self._check_all_gradients(params, batch, ocfg)
+        self._check_all_gradients(params, _padded_batch(splits, vocab), ocfg)
 
     def test_hard_forward_loss_components_match_standalone(self, tiny_world):
         _, splits, vocab = tiny_world

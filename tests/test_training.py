@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from dataclasses import replace
 
@@ -43,8 +44,8 @@ def small_world():
     return cfg, splits, vocab
 
 
-def _model(vocab, share_depth=1, seed=0, num_layers=1):
-    cfg = mdl.ModelConfig(embedding_dim=8, hidden_dim=10, num_layers=num_layers,
+def _model(vocab, share_depth=1, seed=0, num_layers=1, hidden_dim=10):
+    cfg = mdl.ModelConfig(embedding_dim=8, hidden_dim=hidden_dim, num_layers=num_layers,
                           share_depth=share_depth)
     return mdl.build_model(cfg, vocab, seed=seed)
 
@@ -495,29 +496,44 @@ class TestOverlappedEvaluation:
             splits = dat.Splits(train=splits.train, dev=splits.dev)
         token_classes = scfg.token_classes() if with_classes else None
         forks, fork = [], os.fork
+        started, start = [], threading.Thread.start
 
         def counting_fork():
             forks.append(1)
             return fork()
 
+        def counting_start(thread):
+            started.append(1)
+            start(thread)
+
         monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
         # the recipe of test_selected_params_reproduce_selected_epoch, in band
         cfg = _train_cfg(epochs=5, seed=3, lr_gen=2e-2, lr_pred=2e-2, delta_sparsity=0.4,
                          objective=obj.ObjectiveConfig(lambda1=1.0, lambda2=0.05, alpha=0.5))
-        runs = []
-        for cpus in (1, 2):
-            _fake_cpus(monkeypatch, cpus)
-            best, history = train(_model(vocab, share_depth=share_depth, seed=7), splits, cfg,
-                                  token_classes=token_classes)
-            runs.append((history, best.state_dict()))
-        assert len(forks) == cfg.epochs - 1  # none at 1 CPU, none for the last epoch
-        (hist1, best1), (hist2, best2) = runs
-        assert hist1 == hist2  # every field, float ==: bit for bit
-        assert (hist2[0].ann_f1 is None) == dev_only
-        assert (hist2[0].marker_rate is None) != with_classes
-        assert best1.keys() == best2.keys()
-        for name in best1:
-            assert np.array_equal(best1[name], best2[name]), name
+        # and a shape whose training batches (the whole training set) are large
+        # enough for a layer to run its directions on two threads
+        whole = len(splits.train)
+        large = (2 * max(1, -(-mdl.THREADED_MIN_STEP // whole)), replace(cfg, batch_size=whole))
+        for hidden_dim, run_cfg in ((10, cfg), large):
+            runs, threads = [], []
+            for cpus in (1, 2):
+                _fake_cpus(monkeypatch, cpus)
+                forks.clear()
+                started.clear()
+                model = _model(vocab, share_depth=share_depth, seed=7, hidden_dim=hidden_dim)
+                best, history = train(model, splits, run_cfg, token_classes=token_classes)
+                runs.append((history, best.state_dict()))
+                assert len(forks) == (cpus - 1) * (cfg.epochs - 1)  # none for the last epoch
+                threads.append(len(started))
+            assert threads[0] == 0 and (threads[1] > 0) == (hidden_dim > 10)
+            (hist1, best1), (hist2, best2) = runs
+            assert hist1 == hist2  # every field, float ==: bit for bit
+            assert (hist2[0].ann_f1 is None) == dev_only
+            assert (hist2[0].marker_rate is None) != with_classes
+            assert best1.keys() == best2.keys()
+            for name in best1:
+                assert np.array_equal(best1[name], best2[name]), name
 
     def test_divergence_while_child_pending(self, small_world, monkeypatch, evaluate_in_child):
         _, splits, vocab = small_world
