@@ -382,13 +382,16 @@ def insertion_probe(
 ) -> ProbeReport:
     """Max softmax shift of the predictor when one token is spliced into the text.
 
-    `positions` (default: every position 0..len) must lie in [0, len] of each
-    document.  A document's base text and all its insertion variants are
-    scored together, in padded batches of at most `EVAL_BATCH_SIZE` rows.
+    `positions` (default: every position 0..len) must be non-empty and lie in
+    [0, len] of each document.  A document's base text and all its insertion
+    variants are scored together, in padded batches of at most
+    `EVAL_BATCH_SIZE` rows.
     """
     if not examples:
         raise ValueError("the insertion probe needs at least one example")
     if positions is not None:
+        if len(positions) == 0:
+            raise ValueError("positions must name at least one insertion position")
         for ex in examples:
             bad = [pos for pos in positions if not 0 <= pos <= len(ex.tokens)]
             if bad:

@@ -151,10 +151,6 @@ class BiGRULayer:
         self.fw = GRUDirection(f"{name}.fw", input_dim, direction_dim, rng)
         self.bw = GRUDirection(f"{name}.bw", input_dim, direction_dim, rng)
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.fw.hidden
-
     def parameters(self) -> list[Parameter]:
         return self.fw.parameters() + self.bw.parameters()
 
@@ -597,11 +593,33 @@ def _pool_max_backward(cache: dict, dpooled: np.ndarray) -> np.ndarray:
     return dstates
 
 
+def _predictor(params: ModelParams, masked_embedded: np.ndarray, pad_mask: np.ndarray,
+               with_cache: bool):
+    """The predictor view: encode, max-pool over real tokens, classify.
+    Returns the class logits and, with `with_cache`, the cache for
+    `_predictor_backward` (else None)."""
+    states, enc_caches = _encode(params.pred_layers, masked_embedded, pad_mask, with_cache)
+    if not with_cache:
+        return params.pred_head.forward(pool_max(states, pad_mask)), None
+    pooled, pool_cache = pool_max(states, pad_mask, with_cache=True)
+    cache = {"encoder": enc_caches, "pool": pool_cache, "pooled": pooled}
+    return params.pred_head.forward(pooled), cache
+
+
+def _predictor_backward(
+    params: ModelParams, cache: dict, dlogits: np.ndarray, pad_mask: np.ndarray
+) -> np.ndarray:
+    """Accumulate the predictor view's gradients from the (B, classes) logit
+    gradients; returns d(loss)/d(masked embeddings)."""
+    params.pred_head.W.grad += dlogits.T @ cache["pooled"]
+    params.pred_head.b.grad += dlogits.sum(axis=0)
+    dstates = _pool_max_backward(cache["pool"], dlogits @ params.pred_head.W.value)
+    return _encode_backward(params.pred_layers, cache["encoder"], dstates, pad_mask)
+
+
 def predict(params: ModelParams, masked_embedded: np.ndarray, pad_mask: np.ndarray) -> np.ndarray:
     """Class logits from a masked embedding sequence via the predictor view."""
-    states = encode(params.pred_layers, masked_embedded, pad_mask)
-    pooled = pool_max(states, pad_mask)
-    return params.pred_head.forward(pooled)
+    return _predictor(params, masked_embedded, pad_mask, with_cache=False)[0]
 
 
 @dataclass
@@ -617,14 +635,12 @@ def forward(
     batch: Batch,
     mode: str = "train",
     noise: int | np.random.Generator | None = None,
-    force_mask: Optional[np.ndarray] = None,
     mask_forward: str = "hard",
     with_cache: bool = False,
 ) -> ForwardResult:
     """Full pipeline: embed, encode (generator view), sample a mask, re-embed
-    and mask the original tokens, encode (predictor view), pool, classify.
+    and mask the original tokens, then the predictor view (`_predictor`).
 
-    `force_mask`, a mask array, bypasses sampling (skewed-predictor pretraining);
     `mask_forward` = "soft" consumes the relaxed mask downstream, which makes
     the loss differentiable end-to-end for gradient checking.
     """
@@ -634,30 +650,17 @@ def forward(
     gen_states, gen_caches = _encode(params.gen_layers, emb_full, batch.pad_mask, with_cache)
     gen_logits = params.gen_head.forward(gen_states)[..., 0]
     sample = _sample(
-        sigmoid(gen_logits), gen_logits, params.config.temperature,
-        mode if force_mask is None else "eval", _noise_source(noise), batch.pad_mask,
+        sigmoid(gen_logits), gen_logits, params.config.temperature, mode,
+        _noise_source(noise), batch.pad_mask,
     )
-    if force_mask is None:
-        mask_values = sample.hard_mask if mask_forward == "hard" else sample.soft_mask
-    else:
-        mask_values = np.asarray(force_mask, dtype=np.float64) * batch.pad_mask
-    emb_masked = apply_mask(emb_full, mask_values)
-    pred_states, pred_caches = _encode(params.pred_layers, emb_masked, batch.pad_mask, with_cache)
-    pooled = pool_max(pred_states, batch.pad_mask, with_cache)
-    if with_cache:
-        pooled, pool_cache = pooled
-    logits = params.pred_head.forward(pooled)
+    mask_values = sample.hard_mask if mask_forward == "hard" else sample.soft_mask
+    logits, pred_cache = _predictor(
+        params, apply_mask(emb_full, mask_values), batch.pad_mask, with_cache
+    )
     cache = None
     if with_cache:
-        cache = {
-            "emb_full": emb_full,
-            "gen_caches": gen_caches,
-            "gen_states": gen_states,
-            "pred_caches": pred_caches,
-            "pool": pool_cache,
-            "pooled": pooled,
-            "forced": force_mask is not None,
-        }
+        cache = {"emb_full": emb_full, "gen_caches": gen_caches, "gen_states": gen_states,
+                 "predictor": pred_cache}
     return ForwardResult(logits=logits, mask=sample, mask_values=mask_values, cache=cache)
 
 
@@ -690,49 +693,34 @@ def loss_and_grads(
     params: ModelParams,
     batch: Batch,
     objective_cfg: obj.ObjectiveConfig,
-    mode: str = "train",
     noise: int | np.random.Generator | None = None,
     mask_forward: str = "hard",
-    force_mask: Optional[np.ndarray] = None,
 ) -> LossBreakdown:
-    """One forward/backward pass; gradients accumulate into Parameter.grad.
+    """One train-mode forward/backward pass of the joint objective; gradients
+    accumulate into Parameter.grad.
 
     The mask gradient follows the straight-through contract: downstream
     sensitivities are taken at the forward mask values, and the path into the
     generator uses the relaxed sample's derivative at the same noise draw.
     """
-    out = forward(
-        params, batch, mode=mode, noise=noise, force_mask=force_mask,
-        mask_forward=mask_forward, with_cache=True,
-    )
+    out = forward(params, batch, mode="train", noise=noise, mask_forward=mask_forward,
+                  with_cache=True)
     cache = out.cache
     assert cache is not None
     ce, dlogits = obj.cross_entropy_grad(out.logits, batch.labels)
     omega, dmask_reg = obj.sparsity_coherence_grad(out.mask_values, batch.lengths, objective_cfg)
     total = obj.total_loss(ce, omega)
-
-    # predictor head
-    params.pred_head.W.grad += dlogits.T @ cache["pooled"]
-    params.pred_head.b.grad += dlogits.sum(axis=0)
-    dpooled = dlogits @ params.pred_head.W.value
-    dpred_states = _pool_max_backward(cache["pool"], dpooled)
-    demb_masked = _encode_backward(
-        params.pred_layers, cache["pred_caches"], dpred_states, batch.pad_mask
-    )
+    demb_masked = _predictor_backward(params, cache["predictor"], dlogits, batch.pad_mask)
 
     # straight-through: d(loss)/d(mask) at forward values, relaxed path to the logits
     dmask = (demb_masked * cache["emb_full"]).sum(axis=2) + dmask_reg
     dmask *= batch.pad_mask
-    demb_full = demb_masked * out.mask_values[..., None]
-
-    if not cache["forced"]:
-        soft = out.mask.soft_mask
-        dgen_logits = dmask * soft * (1.0 - soft) / params.config.temperature
-        dgen_states = _gen_head_backward(params, cache["gen_states"], dgen_logits)
-        demb_full = demb_full + _encode_backward(
-            params.gen_layers, cache["gen_caches"], dgen_states, batch.pad_mask
-        )
-
+    soft = out.mask.soft_mask
+    dgen_logits = dmask * soft * (1.0 - soft) / params.config.temperature
+    dgen_states = _gen_head_backward(params, cache["gen_states"], dgen_logits)
+    demb_full = demb_masked * out.mask_values[..., None] + _encode_backward(
+        params.gen_layers, cache["gen_caches"], dgen_states, batch.pad_mask
+    )
     _scatter_embedding_grad(params, batch.token_ids, demb_full)
     return LossBreakdown(ce=ce, omega=omega, total=total)
 

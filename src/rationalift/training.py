@@ -69,8 +69,10 @@ class SkewConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("skewed_predictor", "skewed_generator"):
             raise ValueError(f"unknown skew mode {self.mode!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_size < 1 or self.epoch_cap < 1:
+            raise ValueError("batch_size and epoch_cap must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("the skew learning rate must be positive")
         if self.mode == "skewed_generator" and not 0.5 < self.k < 1.0:
             raise ValueError("generator-skew threshold must lie in (0.5, 1)")
         if self.mode == "skewed_predictor" and not (self.k >= 0 and float(self.k).is_integer()):
@@ -248,7 +250,7 @@ def train(
     noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
 
     def step(batch, epoch: int) -> tuple[float, float]:
-        loss = mdl.loss_and_grads(params, batch, cfg.objective, mode="train", noise=noise_rng)
+        loss = mdl.loss_and_grads(params, batch, cfg.objective, noise=noise_rng)
         if not np.isfinite(loss.total):
             raise DivergenceError(
                 f"non-finite loss at epoch {epoch}: ce={loss.ce}, omega={loss.omega}"
@@ -311,9 +313,6 @@ def train(
 # Skew pretraining protocols
 # ---------------------------------------------------------------------------
 
-_ZERO_OBJECTIVE = obj.ObjectiveConfig(lambda1=0.0, lambda2=0.0, alpha=0.0)
-
-
 FIRST_SENTENCE_CAP = 15
 
 
@@ -355,7 +354,8 @@ def pretrain_skewed_predictor(
     token_classes: Optional[Mapping[str, str]] = None,
 ) -> mdl.ModelParams:
     """Pretrain the predictor on deliberately degenerate inputs (first sentence,
-    or the spurious marker tokens only) for k epochs; the generator's own
+    or the spurious marker tokens only) for k epochs, by cross-entropy through
+    the predictor view alone; the generator view is never run, so its own
     parameters are untouched, though a shared encoder absorbs the skew."""
     if skew.mode != "skewed_predictor":
         raise ValueError("pretrain_skewed_predictor requires mode='skewed_predictor'")
@@ -364,7 +364,12 @@ def pretrain_skewed_predictor(
 
     def step(batch, epoch: int) -> None:
         mask = _predictor_pretrain_mask(batch, skew, token_classes, params.vocab)
-        mdl.loss_and_grads(params, batch, _ZERO_OBJECTIVE, mode="eval", force_mask=mask)
+        emb = params.embedding.value[batch.token_ids]
+        logits, cache = mdl._predictor(params, mdl.apply_mask(emb, mask), batch.pad_mask,
+                                       with_cache=True)
+        _, dlogits = obj.cross_entropy_grad(logits, batch.labels)
+        demb = mdl._predictor_backward(params, cache, dlogits, batch.pad_mask)
+        mdl._scatter_embedding_grad(params, batch.token_ids, demb * mask[..., None])
 
     epochs = _epochs(optimizer, splits.train, params.vocab, skew.batch_size, skew.seed, step)
     for _ in zip(range(int(skew.k)), epochs):

@@ -386,6 +386,20 @@ class TestExitCodes:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("skew_lr = 0", "learning rate"),
+        ("skew_epoch_cap = 0", "epoch_cap"),
+    ], ids=["lr", "epoch-cap"])
+    def test_invalid_skew_rate_or_epoch_cap_exits_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "skew.cfg"
+        path.write_text(TINY_SYNTH + line + "\n")
+        out = tmp_path / "bad"
+        code = cli.main(["skew", "--config", str(path), "--kind", "generator", "--k", "0.6",
+                         "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", ["2.7", "0.5", "-1"])
     def test_fractional_predictor_epochs_exit_2(self, synth_cfg, tmp_path, capsys, k):
         code = cli.main(["skew", "--config", str(synth_cfg), "--kind", "predictor", "--k", k,

@@ -457,6 +457,11 @@ class TestBatchedProbes:
         with pytest.raises(ValueError, match=rf"position {pos}\b.*length {len(ex.tokens)}"):
             insertion_probe(params, [ex], cfg.filler_tokens[0], positions=[0, pos])
 
+    def test_empty_insertion_positions_rejected(self, probe_world):
+        cfg, splits, _, params = probe_world
+        with pytest.raises(ValueError, match="positions"):
+            insertion_probe(params, [splits.annotation[0]], cfg.filler_tokens[0], positions=[])
+
     def test_insertion_at_document_end_accepted(self, probe_world):
         cfg, splits, _, params = probe_world
         ex = splits.annotation[0]

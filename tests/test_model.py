@@ -508,15 +508,6 @@ class TestPoolingAndPredict:
 
 
 class TestForward:
-    def test_forced_ones_equals_plain_classifier(self, tiny_world):
-        _, splits, vocab = tiny_world
-        cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
-        params = build_model(cfg, vocab, seed=1)
-        batch = _tiny_batch(splits, vocab)
-        out = forward(params, batch, mode="train", force_mask=batch.pad_mask)
-        plain = predict(params, params.embedding.value[batch.token_ids], batch.pad_mask)
-        assert np.allclose(out.logits, plain)
-
     def test_equal_seeds_identical_outputs(self, tiny_world):
         _, splits, vocab = tiny_world
         cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
@@ -572,7 +563,7 @@ class TestGradients:
         batch = dat.make_batches(splits.train, vocab, batch_size=6, max_len=5)[0]
         ocfg = obj.ObjectiveConfig(lambda1=0.7, lambda2=0.4, alpha=0.3)
         params.zero_grads()
-        loss_and_grads(params, batch, ocfg, mode="train",
+        loss_and_grads(params, batch, ocfg,
                        noise=np.random.default_rng(31), mask_forward="soft")
         eps = 1e-6
         for p in params.gen_head.parameters():
@@ -587,10 +578,11 @@ class TestGradients:
                 fd = (up - dn) / (2 * eps)
                 assert abs(fd - gflat[i]) <= 1e-3 * max(abs(fd), abs(gflat[i]), 1e-4)
 
-    def _check_all_gradients(self, params, batch, ocfg):
+    def _check_all_gradients(self, params, backward, loss):
+        """The gradients `backward()` accumulates against central differences
+        of `loss()`, at up to four entries of every parameter."""
         params.zero_grads()
-        loss_and_grads(params, batch, ocfg, mode="train",
-                       noise=np.random.default_rng(1234), mask_forward="soft")
+        backward()
         rng = np.random.default_rng(0)
         eps = 1e-6
         for p in params.all_parameters():
@@ -598,12 +590,20 @@ class TestGradients:
             for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = self._loss(params, batch, ocfg, 1234)
+                up = loss()
                 flat[i] = orig - eps
-                dn = self._loss(params, batch, ocfg, 1234)
+                dn = loss()
                 flat[i] = orig
                 fd = (up - dn) / (2 * eps)
                 assert abs(fd - gflat[i]) <= 1e-9 + 1e-4 * max(abs(fd), abs(gflat[i])), p.name
+
+    def _check_joint_gradients(self, params, batch, ocfg):
+        self._check_all_gradients(
+            params,
+            lambda: loss_and_grads(params, batch, ocfg, noise=np.random.default_rng(1234),
+                                   mask_forward="soft"),
+            lambda: self._loss(params, batch, ocfg, 1234),
+        )
 
     @pytest.mark.parametrize("path", ["pair", "threaded"])
     def test_all_parameter_gradients_match_finite_differences(self, tiny_world, monkeypatch,
@@ -616,7 +616,7 @@ class TestGradients:
         params = build_model(cfg, vocab, seed=1)
         batch = dat.make_batches(splits.train, vocab, batch_size=6, max_len=6)[0]
         ocfg = obj.ObjectiveConfig(lambda1=0.7, lambda2=0.4, alpha=0.3)
-        self._check_all_gradients(params, batch, ocfg)
+        self._check_joint_gradients(params, batch, ocfg)
 
     @pytest.mark.parametrize("path", ["pair", "threaded"])
     def test_gradients_match_finite_differences_on_padded_batch(self, tiny_world, monkeypatch,
@@ -629,7 +629,32 @@ class TestGradients:
                           temperature=0.8)
         params = build_model(cfg, vocab, seed=1)
         ocfg = obj.ObjectiveConfig(lambda1=0.7, lambda2=0.4, alpha=0.3)
-        self._check_all_gradients(params, _padded_batch(splits, vocab), ocfg)
+        self._check_joint_gradients(params, _padded_batch(splits, vocab), ocfg)
+
+    @pytest.mark.parametrize("share_depth", [0, 1, 2], ids=["disjoint", "partial", "folded"])
+    def test_predictor_view_gradients_match_finite_differences(self, tiny_world, share_depth):
+        # the skewed-predictor pretraining step: the predictor view alone, on
+        # a fixed mask, its embedding gradient scattered through the mask
+        _, splits, vocab = tiny_world
+        cfg = ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=2, share_depth=share_depth)
+        params = build_model(cfg, vocab, seed=1)
+        batch = _padded_batch(splits, vocab)
+        mask = (np.random.default_rng(8).random(batch.pad_mask.shape) < 0.6) * batch.pad_mask
+        assert 0 < mask.sum() < batch.pad_mask.sum()
+
+        def loss():
+            emb = params.embedding.value[batch.token_ids]
+            logits, _ = mdl._predictor(params, apply_mask(emb, mask), batch.pad_mask, False)
+            return obj.cross_entropy(logits, batch.labels)
+
+        def backward():
+            emb = params.embedding.value[batch.token_ids]
+            logits, cache = mdl._predictor(params, apply_mask(emb, mask), batch.pad_mask, True)
+            _, dlogits = obj.cross_entropy_grad(logits, batch.labels)
+            demb = mdl._predictor_backward(params, cache, dlogits, batch.pad_mask)
+            mdl._scatter_embedding_grad(params, batch.token_ids, demb * mask[..., None])
+
+        self._check_all_gradients(params, backward, loss)
 
     def test_hard_forward_loss_components_match_standalone(self, tiny_world):
         _, splits, vocab = tiny_world
@@ -638,7 +663,7 @@ class TestGradients:
         batch = _tiny_batch(splits, vocab)
         ocfg = obj.ObjectiveConfig(lambda1=1.0, lambda2=1.0, alpha=0.2)
         params.zero_grads()
-        loss = loss_and_grads(params, batch, ocfg, mode="train", noise=7)
+        loss = loss_and_grads(params, batch, ocfg, noise=7)
         out = forward(params, batch, mode="train", noise=7)
         assert loss.ce == pytest.approx(obj.cross_entropy(out.logits, batch.labels))
         assert loss.omega == pytest.approx(
@@ -652,7 +677,7 @@ class TestGradients:
         params = build_model(cfg, vocab, seed=1)
         batch = _tiny_batch(splits, vocab)
         params.zero_grads()
-        loss_and_grads(params, batch, obj.ObjectiveConfig(), mode="train", noise=3)
+        loss_and_grads(params, batch, obj.ObjectiveConfig(), noise=3)
         assert np.all(params.embedding.grad == 0.0)
 
 

@@ -3,12 +3,16 @@
 import argparse
 import ast
 import importlib
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rationalift
 from rationalift import cli, data, evaluation, model, objective, training
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,3 +105,16 @@ def test_benchmark_trace_sites_exist(monkeypatch):
     assert not missing
     layer = model.BiGRULayer("probe", 4, 3, np.random.default_rng(0))
     assert (layer.fw.hidden, layer.input_dim) == (3, 4)
+
+
+def test_import_is_lean():
+    """`import rationalift` loads neither `multiprocessing` nor
+    `concurrent.futures`: the modules that start processes import them where
+    they are used, which keeps the CLI's start-up short."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rationalift.__file__).resolve().parent.parent)}
+    probe = ("import sys, rationalift; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

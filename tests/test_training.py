@@ -264,6 +264,26 @@ class TestSkewPretraining:
         for p in params.partitions()["generator"]:
             assert np.array_equal(p.value, gen_before[p.name])
 
+    def test_predictor_skew_runs_no_generator_view(self, small_world, monkeypatch):
+        _, splits, vocab = small_world
+        params = _model(vocab, share_depth=0)
+        layer_forward, gen_head_forward = mdl.BiGRULayer.forward, params.gen_head.forward
+        names = []
+
+        def counting_layer_forward(layer, *args, **kwargs):
+            names.append(layer.name)
+            return layer_forward(layer, *args, **kwargs)
+
+        def counting_gen_head_forward(*args):
+            names.append("gen_head")
+            return gen_head_forward(*args)
+
+        monkeypatch.setattr(mdl.BiGRULayer, "forward", counting_layer_forward)
+        monkeypatch.setattr(params.gen_head, "forward", counting_gen_head_forward)
+        pretrain_skewed_predictor(params, splits, SkewConfig(mode="skewed_predictor", k=1,
+                                                             batch_size=30))
+        assert names and all(name.startswith("enc_pred.") for name in names), set(names)
+
     def test_predictor_skew_marker_only_needs_classes(self, small_world):
         _, splits, vocab = small_world
         params = _model(vocab, share_depth=0)
