@@ -3,11 +3,12 @@ grids, and the two skew-pretraining protocols that deliberately induce
 degeneration.
 
 With a free CPU (`model._cpu_count`), two kinds of work go to forked
-children (`_Forked`): the grid's cells, and `train`'s per-epoch evaluation
-while the next epoch trains.  A third use of a free CPU, a BiGRU layer's
-second direction on a thread, lives in `model`; its thread is joined before
-the layer returns, so none is alive when these fork.  Results equal a single
-process's bit for bit."""
+children (`_Forked`): the grid's cells, and `train`'s per-epoch evaluation,
+each epoch's but the last while the next epoch trains, and the last epoch's
+annotation split while the caller evaluates dev.  A third use of a free CPU,
+a BiGRU layer's second direction on a thread, lives in `model`; its thread
+is joined before the layer returns, so none is alive when these fork.
+Results equal a single process's bit for bit."""
 
 from __future__ import annotations
 
@@ -213,16 +214,33 @@ def _evaluate_epoch(
     params: mdl.ModelParams, splits: Splits, class_rows: Optional[list[list[str]]]
 ) -> dict:
     """The evaluation fields of an epoch's `EpochRecord`; `class_rows` are the
-    dev documents' token classes, or None without a token-class map."""
-    dev = evaluation.evaluate_model(params, splits.dev)
-    fields = dict(dev_acc=dev.metrics.acc, dev_sparsity=dev.metrics.s, dev_f1=dev.metrics.f1)
-    if class_rows is not None:
-        fields["marker_rate"] = evaluation.marker_inclusion_rate(dev.masks, class_rows)
-        fields["composition"] = evaluation.selection_composition(dev.masks, class_rows)
-    if splits.annotation is not None:
+    dev documents' token classes, or None without a token-class map.
+
+    With a free CPU (`model._cpu_count()`), the annotation split is evaluated
+    in a forked child while the caller evaluates dev; the child is joined on
+    every path, and its exception is re-raised here with its type."""
+
+    def annotation() -> dict:
         ann = evaluation.evaluate_model(params, splits.annotation).metrics
-        fields.update(ann_acc=ann.acc, ann_sparsity=ann.s, ann_precision=ann.p,
-                      ann_recall=ann.r, ann_f1=ann.f1)
+        return dict(ann_acc=ann.acc, ann_sparsity=ann.s, ann_precision=ann.p,
+                    ann_recall=ann.r, ann_f1=ann.f1)
+
+    child = None
+    if splits.annotation is not None and mdl._cpu_count() > 1:
+        child = _Forked(annotation, "annotation evaluation")
+    try:
+        dev = evaluation.evaluate_model(params, splits.dev)
+        fields = dict(dev_acc=dev.metrics.acc, dev_sparsity=dev.metrics.s, dev_f1=dev.metrics.f1)
+        if class_rows is not None:
+            fields["marker_rate"] = evaluation.marker_inclusion_rate(dev.masks, class_rows)
+            fields["composition"] = evaluation.selection_composition(dev.masks, class_rows)
+        if child is not None:
+            fields.update(child.result())
+        elif splits.annotation is not None:
+            fields.update(annotation())
+    finally:
+        if child is not None:
+            child.close()
     return fields
 
 
@@ -239,12 +257,16 @@ def train(
 
     With a free CPU (`model._cpu_count()`), every epoch but the last is evaluated
     on dev and annotation in a forked child, from its copy-on-write weights,
-    while the next epoch trains; the history and the returned weights equal
-    an in-process run's bit for bit.  Without one, as in a pool or grid
-    worker, no process is started.
+    while the next epoch trains; the last, evaluated in process, forks its
+    annotation split (`_evaluate_epoch`).  The history and the returned
+    weights equal an in-process run's bit for bit.  Without a free CPU, as in
+    a pool or grid worker, no process is started.
     """
     if cfg.epochs == 0:
         return params, []
+    for dataset in (splits.dev, splits.annotation):
+        if dataset is not None:  # encoded once here, not in every forked evaluation
+            dataset.token_ids(params.vocab)
     # `_epochs` shuffles from the seed's first child stream, the mask noise
     # comes from its second
     noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,9 @@ class TestThreadedDirections:
         pair = _stack_pass(*stack)
         started = _set_threading(monkeypatch)
         threaded = _stack_pass(*stack)
-        assert len(started) == 6  # 2 layers: a cached and a plain forward, a backward
+        # 2 layers: a cached and a plain forward, a backward's step loop and its
+        # input-gradient GEMMs
+        assert len(started) == 8
         assert len(pair) == 3 + 8 * 2
         for a, b in zip(pair, threaded):
             assert np.array_equal(a, b)
@@ -309,7 +312,7 @@ class TestThreadedDirections:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("loop", ["_forward_steps", "_backward_steps"])
+    @pytest.mark.parametrize("loop", ["_forward_steps", "_backward_steps", "_input_grads"])
     def test_helper_exception_keeps_its_type(self, stack, monkeypatch, loop):
         class HelperFailure(Exception):
             pass
@@ -345,7 +348,28 @@ class TestThreadedDirections:
         step = batch.pad_mask.shape[0] * params.gen_layers[0].fw.hidden
         started = _set_threading(monkeypatch, min_step=step)
         _stack_pass(*stack)
-        assert len(started) == 6
+        assert len(started) == 8
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["threaded", "paired"])
+    def test_gate_cache_freed_before_input_grads(self, stack, monkeypatch, cpus):
+        # the input-gradient GEMMs must not run while the step-major gate cache
+        # is still held next to its batch-major copies
+        params, batch, dstates = stack
+        layer = params.gen_layers[0]
+        started = _set_threading(monkeypatch, cpus=cpus)
+        _, cache = layer.forward(params.embedding.value[batch.token_ids], batch.pad_mask)
+        gates = weakref.ref(cache["gates"])
+        input_grads, held = mdl._input_grads, []
+
+        def recording(*args):
+            held.append(gates() is not None)
+            return input_grads(*args)
+
+        monkeypatch.setattr(mdl, "_input_grads", recording)
+        layer.backward(cache, dstates, batch.pad_mask)
+        assert held == [False, False]
+        # the forward, the backward's step loop and its input-gradient GEMMs
+        assert len(started) == (3 if cpus == 2 else 0)
 
 
 class TestGeneratorProbs:

@@ -488,7 +488,8 @@ def _history_in_worker(world) -> list[dict]:
 
 class TestOverlappedEvaluation:
     """`train` evaluates each epoch but the last in a forked child while the
-    next epoch trains; the results must equal an in-process run's."""
+    next epoch trains, and the last epoch's annotation split in a forked child
+    while it evaluates dev; the results must equal an in-process run's."""
 
     @pytest.fixture
     def evaluate_in_child(self, monkeypatch):
@@ -544,7 +545,8 @@ class TestOverlappedEvaluation:
                 model = _model(vocab, share_depth=share_depth, seed=7, hidden_dim=hidden_dim)
                 best, history = train(model, splits, run_cfg, token_classes=token_classes)
                 runs.append((history, best.state_dict()))
-                assert len(forks) == (cpus - 1) * (cfg.epochs - 1)  # none for the last epoch
+                # one per epoch but the last, and the last epoch's annotation child
+                assert len(forks) == (cpus - 1) * (cfg.epochs - 1 + (not dev_only))
                 threads.append(len(started))
             assert threads[0] == 0 and (threads[1] > 0) == (hidden_dim > 10)
             (hist1, best1), (hist2, best2) = runs
@@ -612,11 +614,19 @@ class TestOverlappedEvaluation:
                 fh.write(f"{os.getpid()}\n")
             return fork()
 
+        def run_cell(params, splits, cfg):
+            f1 = training._score_cell(params, splits, cfg)
+            if cfg.seed == 1:  # jobs 1 and 3, the worker's: it outlives the caller's cells,
+                time.sleep(0.5)  # whose last evaluation would otherwise find a CPU free
+            return f1
+
         monkeypatch.setattr(os, "fork", logged_fork)
-        lr_grid(GRID_MODEL, vocab, splits, replace(GRID_TRAIN, epochs=3), *GRID_RATES, [0, 1])
+        lr_grid(GRID_MODEL, vocab, splits, replace(GRID_TRAIN, epochs=3), *GRID_RATES, [0, 1],
+                run_cell=run_cell)
         assert (tmp_path / "forks").read_text().split() == [str(os.getpid())]  # the worker
 
     def test_one_epoch_starts_no_process(self, small_world, monkeypatch):
+        # without an annotation split there is nothing to evaluate beside dev
         _, splits, vocab = small_world
         _fake_cpus(monkeypatch, 2)
 
@@ -624,5 +634,78 @@ class TestOverlappedEvaluation:
             raise AssertionError("a process was started")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        _, history = train(_model(vocab), splits, _train_cfg(epochs=1))
+        dev_only = dat.Splits(train=splits.train, dev=splits.dev)
+        _, history = train(_model(vocab), dev_only, _train_cfg(epochs=1))
         assert len(history) == 1
+
+    def test_one_epoch_forks_annotation_only(self, small_world, monkeypatch):
+        _, splits, vocab = small_world
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        runs = []
+        for cpus in (1, 2):
+            _fake_cpus(monkeypatch, cpus)
+            forks.clear()
+            best, history = train(_model(vocab), splits, _train_cfg(epochs=1))
+            runs.append((history, best.state_dict()))
+            assert len(forks) == cpus - 1
+        (hist1, best1), (hist2, best2) = runs
+        assert hist1 == hist2 and hist2[0].ann_f1 is not None
+        for name in best1:
+            assert np.array_equal(best1[name], best2[name]), name
+
+    def test_annotation_child_exception_keeps_its_type(self, small_world, monkeypatch):
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 2)
+        caller, evaluate = os.getpid(), evaluation.evaluate_model
+
+        def fail_on_annotation_in_child(params, dataset):
+            if os.getpid() != caller and dataset is splits.annotation:
+                raise ValueError("annotation failed in the child")
+            return evaluate(params, dataset)
+
+        monkeypatch.setattr(evaluation, "evaluate_model", fail_on_annotation_in_child)
+        with pytest.raises(ValueError, match="annotation failed") as info:
+            train(_model(vocab), splits, _train_cfg(epochs=1))
+        assert "in annotation evaluation" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_dev_failure_closes_annotation_child(self, small_world, monkeypatch):
+        _, splits, vocab = small_world
+        _fake_cpus(monkeypatch, 2)
+        caller, evaluate = os.getpid(), evaluation.evaluate_model
+
+        def fail_on_dev_in_caller(params, dataset):
+            if os.getpid() != caller:
+                time.sleep(60)  # the annotation child, which must be stopped
+            elif dataset is splits.dev:
+                raise ValueError("dev evaluation failed")
+            return evaluate(params, dataset)
+
+        monkeypatch.setattr(evaluation, "evaluate_model", fail_on_dev_in_caller)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="dev evaluation failed"):
+            train(_model(vocab), splits, _train_cfg(epochs=1))
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_dev_and_annotation_encoded_before_first_fork(self, small_world, monkeypatch):
+        # a forked evaluation that encodes its splits does so for itself only
+        _, splits, _ = small_world
+        vocab = build_vocab(splits.train)  # a vocabulary no split has encoded yet
+        _fake_cpus(monkeypatch, 2)
+        encoded, fork = [], os.fork
+
+        def checking_fork():
+            if not encoded:
+                encoded.append([id(vocab) in ds._encoded for ds in (splits.dev, splits.annotation)])
+            return fork()
+
+        monkeypatch.setattr(os, "fork", checking_fork)
+        train(_model(vocab), splits, _train_cfg(epochs=2))
+        assert encoded == [[True, True]]
