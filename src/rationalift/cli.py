@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -99,9 +100,12 @@ def _parse_value(key: str, raw: str):
             return False
         raise ConfigError(f"config key {key!r}: cannot parse boolean from {raw!r}")
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {typ.__name__} from {raw!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: {raw!r} is not a finite number")
+    return value
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -384,6 +388,9 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
             f"{cfg['share_depth']} (unset it or set it to 0)"
         )
     model_cfg, base_cfg = _model_config(cfg), _train_config(cfg)
+    for lr_gen in gen_rates:  # each cell's rates are checked before anything is written
+        for lr_pred in pred_rates:
+            _train_config(dict(cfg, lr_gen=lr_gen, lr_pred=lr_pred))
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
     if splits.annotation is None:
         raise ConfigError("the grid needs an annotation split to score F1")

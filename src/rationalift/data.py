@@ -195,7 +195,7 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int, seed: int = 0
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2 or not parts[0]:
                 continue
@@ -207,7 +207,12 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int, seed: int = 0
                     f"embedding dimension mismatch for token {token!r}: "
                     f"expected {dim} values, got {len(values)}"
                 )
-            vectors[vocab.token_to_id[token]] = [float(v) for v in values]
+            try:
+                vectors[vocab.token_to_id[token]] = [float(v) for v in values]
+            except ValueError:
+                raise CorpusError(
+                    f"{path}:{lineno}: token {token!r} has a value that is not a number"
+                ) from None
     vectors[PAD_ID] = 0.0
     vectors[MASK_ID] = 0.0
     return vectors
@@ -241,7 +246,12 @@ def expand_spans(spans: Sequence[Sequence[int]], length: int, example_id: str) -
     for span in spans:
         if len(span) != 2:
             raise CorpusError(f"example {example_id}: span {span!r} is not a [start, end) pair")
-        start, end = int(span[0]), int(span[1])
+        try:
+            start, end = int(span[0]), int(span[1])
+        except (TypeError, ValueError):
+            raise CorpusError(
+                f"example {example_id}: span {span!r} does not hold two integers"
+            ) from None
         if start < 0 or end > length or start > end:
             raise CorpusError(
                 f"example {example_id}: span [{start}, {end}) out of bounds for length {length}"
@@ -274,19 +284,26 @@ def _parse_jsonl_record(line: str, lineno: int, domain: Optional[str]) -> Option
     elif "rating" in record:
         if domain is None:
             raise CorpusError(f"line {lineno}: raw rating present but no domain given")
-        label = _binarize_rating(float(record["rating"]), domain)
+        try:
+            rating = float(record["rating"])
+        except (TypeError, ValueError):
+            raise CorpusError(
+                f"line {lineno}: rating must be a number, got {record['rating']!r}"
+            ) from None
+        label = _binarize_rating(rating, domain)
         if label is None:
             return None
     else:
         raise CorpusError(f"line {lineno}: record has neither 'label' nor 'rating'")
 
     gold = None
-    if "rationale_spans" in record and record["rationale_spans"] is not None:
-        spans = record["rationale_spans"]
-        gold = expand_spans(spans, len(tokens), ex_id)
-        if not spans:
-            logger.warning("example %s: empty rationale span list, gold mask is all zero", ex_id)
     try:
+        if "rationale_spans" in record and record["rationale_spans"] is not None:
+            spans = record["rationale_spans"]
+            gold = expand_spans(spans, len(tokens), ex_id)
+            if not spans:
+                logger.warning("example %s: empty rationale span list, gold mask is all zero",
+                               ex_id)
         return Example(id=ex_id, tokens=tokens, label=int(label), gold_mask=gold)
     except CorpusError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from None

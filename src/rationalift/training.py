@@ -2,18 +2,18 @@
 grids, and the two skew-pretraining protocols that deliberately induce
 degeneration.
 
-With a free CPU (`model._cpu_count`), two kinds of work go to forked
-children (`_Forked`): the grid's cells, and `train`'s per-epoch evaluation,
-each epoch's but the last while the next epoch trains, and the last epoch's
-annotation split while the caller evaluates dev.  A third use of a free CPU,
-a BiGRU layer's second direction on a thread, lives in `model`; its thread
-is joined before the layer returns, so none is alive when these fork.
-Results equal a single process's bit for bit."""
+All forked work goes through `_map_forked`, which uses one process per free
+CPU (`model._cpu_count`): the grid's cells, `train`'s evaluation of an epoch
+beside the next epoch's training, and `_evaluate_epoch`'s annotation split
+beside dev.  A BiGRU layer's second direction on a thread, the other use of a
+free CPU, lives in `model`; its thread is joined before the layer returns, so
+none is alive when these fork.  Results equal a single process's bit for bit."""
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
@@ -46,8 +46,8 @@ class TrainConfig:
     objective: obj.ObjectiveConfig = field(default_factory=obj.ObjectiveConfig)
 
     def __post_init__(self) -> None:
-        if self.lr_gen <= 0 or self.lr_pred <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.lr_gen < math.inf and 0 < self.lr_pred < math.inf):
+            raise ValueError("learning rates must be positive and finite")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
@@ -72,8 +72,8 @@ class SkewConfig:
             raise ValueError(f"unknown skew mode {self.mode!r}")
         if self.batch_size < 1 or self.epoch_cap < 1:
             raise ValueError("batch_size and epoch_cap must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("the skew learning rate must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("the skew learning rate must be positive and finite")
         if self.mode == "skewed_generator" and not 0.5 < self.k < 1.0:
             raise ValueError("generator-skew threshold must lie in (0.5, 1)")
         if self.mode == "skewed_predictor" and not (self.k >= 0 and float(self.k).is_integer()):
@@ -193,54 +193,45 @@ def _epochs(
         yield results
 
 
-def _selection_key(record: EpochRecord, alpha: float, delta_sparsity: float) -> tuple:
-    """Model-selection rank of an epoch, lower is better: epochs within the
-    sparsity band come first, by dev accuracy; the rest by distance to alpha."""
-    dist = abs(record.dev_sparsity - alpha)
-    return (0, -record.dev_acc) if dist <= delta_sparsity else (1, dist)
-
-
 def select_model(history: TrainHistory, alpha: float, delta_sparsity: float = 0.05) -> int:
     """Index of the chosen epoch: max dev accuracy within the sparsity band
     (earliest on ties); if no epoch is in band, the closest-sparsity epoch."""
     if not history:
         raise ValueError("history is empty")
-    # min keeps the first of equal keys, so ties go to the earliest epoch
-    keys = [_selection_key(r, alpha, delta_sparsity) for r in history]
-    return min(range(len(history)), key=keys.__getitem__)
+
+    def rank(record: EpochRecord) -> tuple:  # lower is better
+        dist = abs(record.dev_sparsity - alpha)
+        return (0, -record.dev_acc) if dist <= delta_sparsity else (1, dist)
+
+    # min keeps the first of equal ranks, so ties go to the earliest epoch
+    return min(range(len(history)), key=lambda k: rank(history[k]))
 
 
 def _evaluate_epoch(
     params: mdl.ModelParams, splits: Splits, class_rows: Optional[list[list[str]]]
 ) -> dict:
     """The evaluation fields of an epoch's `EpochRecord`; `class_rows` are the
-    dev documents' token classes, or None without a token-class map.
-
-    With a free CPU (`model._cpu_count()`), the annotation split is evaluated
-    in a forked child while the caller evaluates dev; the child is joined on
-    every path, and its exception is re-raised here with its type."""
+    dev documents' token classes, or None without a token-class map.  The
+    annotation split and dev go through `_map_forked`, so with a free CPU the
+    annotation split is evaluated in a child while the caller evaluates dev."""
 
     def annotation() -> dict:
         ann = evaluation.evaluate_model(params, splits.annotation).metrics
         return dict(ann_acc=ann.acc, ann_sparsity=ann.s, ann_precision=ann.p,
                     ann_recall=ann.r, ann_f1=ann.f1)
 
-    child = None
-    if splits.annotation is not None and mdl._cpu_count() > 1:
-        child = _Forked(annotation, "annotation evaluation")
-    try:
-        dev = evaluation.evaluate_model(params, splits.dev)
-        fields = dict(dev_acc=dev.metrics.acc, dev_sparsity=dev.metrics.s, dev_f1=dev.metrics.f1)
+    def dev() -> dict:
+        run = evaluation.evaluate_model(params, splits.dev)
+        fields = dict(dev_acc=run.metrics.acc, dev_sparsity=run.metrics.s, dev_f1=run.metrics.f1)
         if class_rows is not None:
-            fields["marker_rate"] = evaluation.marker_inclusion_rate(dev.masks, class_rows)
-            fields["composition"] = evaluation.selection_composition(dev.masks, class_rows)
-        if child is not None:
-            fields.update(child.result())
-        elif splits.annotation is not None:
-            fields.update(annotation())
-    finally:
-        if child is not None:
-            child.close()
+            fields["marker_rate"] = evaluation.marker_inclusion_rate(run.masks, class_rows)
+            fields["composition"] = evaluation.selection_composition(run.masks, class_rows)
+        return fields
+
+    parts = [dev] if splits.annotation is None else [annotation, dev]
+    fields: dict = {}
+    for part in _map_forked(lambda part: part(), parts, "annotation evaluation"):
+        fields.update(part)
     return fields
 
 
@@ -255,12 +246,12 @@ def train(
     Generator-owned and shared parameters step with lr_gen, predictor-owned
     with lr_pred.  Fully deterministic given the config seed.
 
-    With a free CPU (`model._cpu_count()`), every epoch but the last is evaluated
-    on dev and annotation in a forked child, from its copy-on-write weights,
-    while the next epoch trains; the last, evaluated in process, forks its
-    annotation split (`_evaluate_epoch`).  The history and the returned
-    weights equal an in-process run's bit for bit.  Without a free CPU, as in
-    a pool or grid worker, no process is started.
+    Each epoch's evaluation and the next epoch's training are one
+    `_map_forked` call: with a free CPU, a forked child evaluates the epoch
+    from its copy-on-write weights while the caller trains the next one.  The
+    last epoch is evaluated in the caller (`_evaluate_epoch`).  Without a free
+    CPU, as in a pool or grid worker, all of it runs in the caller.  The
+    history and the returned weights are the same bits either way.
     """
     if cfg.epochs == 0:
         return params, []
@@ -285,47 +276,32 @@ def train(
     class_rows = None
     if token_classes is not None:
         class_rows = [classify_tokens(ex.tokens, token_classes) for ex in splits.dev]
-    overlap = cfg.epochs > 1 and mdl._cpu_count() > 1
+
+    def train_epoch(epoch: int) -> dict:
+        losses = next(epochs)
+        ce_sum = omega_sum = 0.0
+        for ce, omega in losses:
+            ce_sum += ce
+            omega_sum += omega
+        for i in range(params.config.share_depth):
+            assert params.pred_layers[i] is params.gen_layers[i], "sharing alias broken"
+        return dict(epoch=epoch, train_ce=ce_sum / len(losses),
+                    train_omega=omega_sum / len(losses),
+                    train_loss=(ce_sum + omega_sum) / len(losses))
+
     history: TrainHistory = []
-    best_key: Optional[tuple] = None  # _selection_key of the snapshot epoch
     best_state: dict = {}
-
-    def settle(train_fields: dict, state: dict, eval_fields: dict) -> None:
-        nonlocal best_key, best_state
-        record = EpochRecord(**train_fields, **eval_fields)
-        history.append(record)
-        key = _selection_key(record, cfg.objective.alpha, cfg.delta_sparsity)
-        if best_key is None or key < best_key:  # strict: ties keep the earliest epoch
-            best_key, best_state = key, state
-
-    pending = None  # (train fields, snapshot, forked evaluation) of the previous epoch
-    try:
-        for epoch_idx, losses in zip(range(cfg.epochs), epochs):
-            ce_sum = omega_sum = 0.0
-            for ce, omega in losses:
-                ce_sum += ce
-                omega_sum += omega
-            for i in range(params.config.share_depth):
-                assert params.pred_layers[i] is params.gen_layers[i], "sharing alias broken"
-            train_fields = dict(
-                epoch=epoch_idx + 1,
-                train_ce=ce_sum / len(losses),
-                train_omega=omega_sum / len(losses),
-                train_loss=(ce_sum + omega_sum) / len(losses),
-            )
-            if pending is not None:
-                done_fields, done_state, child = pending
-                settle(done_fields, done_state, child.result())
-                pending = None
-            state = params.state_dict()
-            if overlap and epoch_idx + 1 < cfg.epochs:
-                child = _Forked(lambda: _evaluate_epoch(params, splits, class_rows), "evaluation")
-                pending = (train_fields, state, child)
-            else:
-                settle(train_fields, state, _evaluate_epoch(params, splits, class_rows))
-    finally:
-        if pending is not None:
-            pending[-1].close()
+    train_fields = train_epoch(1)
+    for epoch in range(1, cfg.epochs + 1):
+        state = params.state_dict()
+        jobs = [lambda: _evaluate_epoch(params, splits, class_rows)]
+        if epoch < cfg.epochs:
+            jobs.append(lambda: train_epoch(epoch + 1))
+        eval_fields, *next_fields = _map_forked(lambda job: job(), jobs, "evaluation")
+        history.append(EpochRecord(**train_fields, **eval_fields))
+        if select_model(history, cfg.objective.alpha, cfg.delta_sparsity) == len(history) - 1:
+            best_state = state
+        train_fields = next_fields[0] if next_fields else None
     best = params.clone()
     best.load_state(best_state)
     return best, history
@@ -474,10 +450,9 @@ class GridResult:
 
 
 def _score_cell(params: mdl.ModelParams, splits: Splits, cfg: TrainConfig) -> float:
-    """Annotation F1 of the checkpoint `train` selects."""
-    best, _ = train(params, splits, cfg)
-    run = evaluation.evaluate_model(best, splits.annotation)
-    return float(run.metrics.f1)
+    """Annotation F1 of the epoch `train` selects, as its history records it."""
+    _, history = train(params, splits, cfg)
+    return float(history[select_model(history, cfg.objective.alpha, cfg.delta_sparsity)].ann_f1)
 
 
 def _run_child(job: Callable[[], object], conn) -> None:
@@ -490,79 +465,65 @@ def _run_child(job: Callable[[], object], conn) -> None:
     conn.send(outcome)
 
 
-class _Forked:
-    """`job()` running in a forked child, which inherits `job` (a closure need
-    not pickle) and the caller's memory, copy-on-write.  Call `result()` to
-    wait for it; on a path that may leave before that, `close()` stops and
-    joins the child."""
+def _map_forked(job: Callable, items: Sequence, role: str) -> list:
+    """`[job(x) for x in items]` on w = min(len(items), `model._cpu_count()`)
+    processes, the caller included.
 
-    def __init__(self, job: Callable[[], object], role: str):
-        import multiprocessing
+    With one process the caller runs every item in order.  With more, forked
+    child c runs the items with `k % w == c` for c < w - 1, and the caller,
+    once they have started, those with `k % w == w - 1`, so that a tracer in
+    the caller still sees its share.  A child inherits `job` (a closure need
+    not pickle) and the caller's memory, copy-on-write, and only its results
+    come back: an item may change caller state only if no later item reads it.
+    Results come back in item order.
 
-        ctx = multiprocessing.get_context("fork")
-        self._role = role
-        # a child must not write out what the caller has buffered a second time
-        sys.stdout.flush()
-        sys.stderr.flush()
-        self._recv, send = ctx.Pipe(duplex=False)
-        self._child = ctx.Process(target=_run_child, args=(job, send))
-        self._child.start()
-        send.close()  # the child holds the only write end, so its death reads as EOF
-
-    def result(self):
-        """`job()`'s result, once the child has sent it and exited.  Its
-        exception is re-raised here with its type, the child's traceback as
-        its cause; a child that dies first raises RuntimeError."""
-        try:
-            ok, value = self._recv.recv()
-        except EOFError:
-            ok = None
-        self._recv.close()
-        self._child.join()  # it exits once it has sent its result, if it lived to
-        if ok is None:
-            raise RuntimeError(
-                f"{self._role} {self._child.name} exited with code {self._child.exitcode} "
-                "before sending its result"
-            )
-        if not ok:
-            exc, remote_tb = value
-            raise exc from RuntimeError(f"in {self._role} {self._child.name}:\n{remote_tb}")
-        return value
-
-    def close(self) -> None:
-        """Terminate the child if it is still running, then join it."""
-        if self._child.exitcode is None:
-            self._child.terminate()
-        self._child.join()
-        self._recv.close()
-
-
-def _map_forked(job: Callable[[int], float], n: int) -> list[float]:
-    """`[job(k) for k in range(n)]` on min(n, `model._cpu_count()`) processes, the
-    caller included, so that a tracer in the caller still sees its share.
-
-    The caller runs the jobs with `k % workers == 0`; extra worker `w` is a
-    `_Forked` child that runs those with `k % workers == w`.  Results come
-    back in job order and equal a sequential loop's when each job depends only
-    on `k`.  The first failure seen is raised here with its type, the worker's
-    traceback as its cause.  Every child is joined, after `terminate` on a
-    failure, before this returns or raises.
+    The first failure seen is raised here with its type, the child's
+    traceback as its cause, named after `role`; a child that dies before
+    sending its results raises RuntimeError.  Every child is joined, after
+    `terminate` on a failure, before this returns or raises.
     """
-    workers = min(n, mdl._cpu_count())
+    n = len(items)
+    w = min(n, mdl._cpu_count())
+    if w < 2:
+        return [job(x) for x in items]
 
-    def share(w: int) -> dict[int, float]:
-        return {k: job(k) for k in range(w, n, workers)}
+    def share(c: int) -> dict:
+        return {k: job(items[k]) for k in range(c, n, w)}
 
-    children: list[_Forked] = []
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    # a child must not write out what the caller has buffered a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
     try:
-        for w in range(1, workers):
-            children.append(_Forked(lambda w=w: share(w), "grid worker"))
-        results = share(0)
-        for child in children:
-            results.update(child.result())
+        for c in range(w - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_child, args=(lambda c=c: share(c), send))
+            child.start()
+            children.append((child, recv))
+            send.close()  # the child holds the only write end, so its death reads as EOF
+        results = share(w - 1)
+        for child, recv in children:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"{role} {child.name} exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            if not ok:
+                exc, remote_tb = value
+                raise exc from RuntimeError(f"in {role} {child.name}:\n{remote_tb}")
+            results.update(value)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
     finally:
-        for child in children:
-            child.close()
+        for child, recv in children:
+            child.join()
+            recv.close()
     return [results[k] for k in range(n)]
 
 
@@ -598,8 +559,8 @@ def lr_grid(
     jobs = [(i, j, seed) for i in range(len(gen_rates)) for j in range(len(pred_rates))
             for seed in seeds]
 
-    def score(k: int) -> float:
-        i, j, seed = jobs[k]
+    def score(job: tuple[int, int, int]) -> float:
+        i, j, seed = job
         lg, lp = gen_rates[i], pred_rates[j]
         params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=seed)
         f1 = run_cell(params, splits, replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed))
@@ -607,7 +568,7 @@ def lr_grid(
         return f1
 
     cells: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for (i, j, seed), f1 in zip(jobs, _map_forked(score, len(jobs))):
+    for (i, j, seed), f1 in zip(jobs, _map_forked(score, jobs, "grid worker")):
         cells.setdefault((i, j), []).append((seed, f1))
     median = np.zeros((len(gen_rates), len(pred_rates)))
     for (i, j), scores in cells.items():

@@ -280,11 +280,11 @@ class TestGridCommand:
         assert len(set(f1s)) > 1
 
     def test_worker_divergence_exits_3(self, synth_cfg, tmp_path, monkeypatch, capsys):
-        real_train = training.train
+        caller, real_train = os.getpid(), training.train
 
         def train(params, splits, cfg, **kwargs):
-            if cfg.seed == 1:  # job 1 of 2: the forked worker's
-                raise training.DivergenceError("non-finite loss in the cell of seed 1")
+            if os.getpid() != caller:  # job 0 of 2: the forked worker's
+                raise training.DivergenceError(f"non-finite loss in the cell of seed {cfg.seed}")
             return real_train(params, splits, cfg, **kwargs)
 
         monkeypatch.setattr(training, "train", train)
@@ -293,7 +293,7 @@ class TestGridCommand:
                          "--pred-rates", "1e-3", "--seeds", "0,1",
                          "--out", str(tmp_path / "grid"), "--epochs", "1"])
         assert code == 3
-        assert "cell of seed 1" in capsys.readouterr().err
+        assert "cell of seed 0" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "grid" / "grid.json").exists()
 
@@ -322,8 +322,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["train", "--lr-gen", "0"],
+        ["train", "--lr-gen", "nan"],
         ["grid", "--alpha", "2", "--gen-rates", "1e-3", "--pred-rates", "1e-3"],
-    ], ids=["train", "grid"])
+        ["grid", "--gen-rates", "1e-3,nan", "--pred-rates", "1e-3"],
+        ["grid", "--gen-rates", "1e-3", "--pred-rates", "0"],
+    ], ids=["train", "train-nan", "grid", "grid-nan-rate", "grid-zero-rate"])
     def test_rejected_config_writes_nothing(self, synth_cfg, tmp_path, argv):
         out = tmp_path / "bad"
         assert cli.main(argv + ["--config", str(synth_cfg), "--out", str(out)]) == 2
@@ -398,6 +401,48 @@ class TestExitCodes:
                          "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["lr_gen = nan", "lambda1 = inf", "alpha = -inf",
+                                      "skew_lr = 1e999"])
+    def test_non_finite_config_float_exits_2(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_SYNTH + line + "\n")
+        out = tmp_path / "bad"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert line.split()[0] in err and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, where", [
+        ("rating", "line 2: rating"),
+        ("span", "line 1: example a0: span"),
+        ("embedding", "vec.txt:2: token 'good'"),
+    ])
+    def test_malformed_corpus_value_exits_2(self, tmp_path, capsys, case, where):
+        reviews = [{"rating": 0.9, "text": "good beer"}, {"rating": 0.1, "text": "bad beer"}]
+        if case == "rating":
+            reviews[1]["rating"] = "abc"
+        spans = [["a", 1]] if case == "span" else [[0, 1]]
+        vectors = "beer 0.1 0.2\n" + ("good 0.1 abc\n" if case == "embedding" else "")
+        paths = {}
+        for name, text in [
+            ("train", "".join(json.dumps(r) + "\n" for r in reviews)),
+            ("annotation", json.dumps({"id": "a0", "label": 1, "text": "good beer",
+                                       "rationale_spans": spans}) + "\n"),
+            ("embeddings", vectors),
+        ]:
+            paths[name] = tmp_path / ("vec.txt" if name == "embeddings" else f"{name}.jsonl")
+            paths[name].write_text(text)
+        config = tmp_path / "jsonl.cfg"
+        config.write_text(
+            f"data = jsonl\ndomain = beer\naspect = aroma\nembedding_dim = 2\n"
+            f"train_path = {paths['train']}\ndev_path = {paths['train']}\n"
+            f"annotation_path = {paths['annotation']}\nembeddings_path = {paths['embeddings']}\n"
+        )
+        out = tmp_path / "bad"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert where in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("k", ["2.7", "0.5", "-1"])

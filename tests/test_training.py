@@ -326,6 +326,16 @@ class TestSkewPretraining:
         with pytest.raises(ValueError):
             SkewConfig(mode="skewed_both", k=1)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("make", [
+        lambda rate: TrainConfig(lr_gen=rate),
+        lambda rate: TrainConfig(lr_pred=rate),
+        lambda rate: SkewConfig(mode="skewed_predictor", k=1, lr=rate),
+    ], ids=["lr_gen", "lr_pred", "skew_lr"])
+    def test_non_finite_rate_rejected(self, make, rate):
+        with pytest.raises(ValueError, match="finite"):
+            make(rate)
+
     @pytest.mark.parametrize("pretrain, skew, head", [
         (pretrain_skewed_predictor, SkewConfig(mode="skewed_predictor", k=1), "pred_head"),
         (pretrain_skewed_generator, SkewConfig(mode="skewed_generator", k=0.9), "gen_head"),
@@ -390,6 +400,26 @@ def _grid(splits, vocab, seeds, run_cell=training._score_cell):
                    run_cell=run_cell)
 
 
+class TestMapForked:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_last_item_runs_in_caller(self, monkeypatch, cpus):
+        _fake_cpus(monkeypatch, cpus)
+        caller, ran_here = os.getpid(), []
+
+        def job(item):
+            ran_here.append(item)  # only the caller's list is seen here
+            return item, os.getpid()
+
+        results = training._map_forked(job, ["first", "last"], "test job")
+        assert [item for item, _ in results] == ["first", "last"]
+        pids = [pid for _, pid in results]
+        if cpus == 1:
+            assert ran_here == ["first", "last"] and pids == [caller, caller]
+        else:
+            assert ran_here == ["last"] and pids[1] == caller and pids[0] != caller
+        assert multiprocessing.active_children() == []
+
+
 class TestParallelLrGrid:
     """lr_grid spreads its cells over one process per available CPU, the
     caller included; the results must equal a sequential sweep's."""
@@ -439,13 +469,14 @@ class TestParallelLrGrid:
     def test_worker_divergence_reraised(self, small_world, monkeypatch):
         _, splits, vocab = small_world
         _fake_cpus(monkeypatch, 2)
+        caller = os.getpid()
 
         def run_cell(params, splits, cfg):
-            if cfg.seed == 1:  # jobs 1 and 3: the worker's
+            if os.getpid() != caller:  # jobs 0 and 2: the worker's
                 raise DivergenceError(f"non-finite loss in the cell of seed {cfg.seed}")
             return 0.5
 
-        with pytest.raises(DivergenceError, match="cell of seed 1") as info:
+        with pytest.raises(DivergenceError, match="cell of seed 0") as info:
             _grid(splits, vocab, [0, 1], run_cell)
         assert "in grid worker" in str(info.value.__cause__)
         assert multiprocessing.active_children() == []
@@ -453,9 +484,10 @@ class TestParallelLrGrid:
     def test_caller_failure_terminates_workers(self, small_world, monkeypatch):
         _, splits, vocab = small_world
         _fake_cpus(monkeypatch, 2)
+        caller = os.getpid()
 
         def run_cell(params, splits, cfg):
-            if cfg.seed == 0:  # jobs 0 and 2: the caller's
+            if os.getpid() == caller:  # jobs 1 and 3
                 raise ValueError("caller cell failed")
             time.sleep(60)
             return 0.5
@@ -469,9 +501,10 @@ class TestParallelLrGrid:
     def test_worker_death_is_reported(self, small_world, monkeypatch):
         _, splits, vocab = small_world
         _fake_cpus(monkeypatch, 2)
+        caller = os.getpid()
 
         def run_cell(params, splits, cfg):
-            if cfg.seed == 1:
+            if os.getpid() != caller:
                 os._exit(7)
             return 0.5
 
@@ -489,7 +522,8 @@ def _history_in_worker(world) -> list[dict]:
 class TestOverlappedEvaluation:
     """`train` evaluates each epoch but the last in a forked child while the
     next epoch trains, and the last epoch's annotation split in a forked child
-    while it evaluates dev; the results must equal an in-process run's."""
+    while it evaluates dev, all through `_map_forked`; the results must equal
+    an in-process run's."""
 
     @pytest.fixture
     def evaluate_in_child(self, monkeypatch):
@@ -607,7 +641,7 @@ class TestOverlappedEvaluation:
         # the grid's processes take every CPU, so its cells evaluate in-process
         _, splits, vocab = small_world
         _fake_cpus(monkeypatch, 2)
-        fork = os.fork
+        caller, fork = os.getpid(), os.fork
 
         def logged_fork():
             with open(tmp_path / "forks", "a") as fh:
@@ -616,8 +650,8 @@ class TestOverlappedEvaluation:
 
         def run_cell(params, splits, cfg):
             f1 = training._score_cell(params, splits, cfg)
-            if cfg.seed == 1:  # jobs 1 and 3, the worker's: it outlives the caller's cells,
-                time.sleep(0.5)  # whose last evaluation would otherwise find a CPU free
+            if os.getpid() != caller:  # jobs 0 and 2, the worker's: it outlives the caller's
+                time.sleep(0.5)  # cells, whose last evaluation would otherwise find a CPU free
             return f1
 
         monkeypatch.setattr(os, "fork", logged_fork)
