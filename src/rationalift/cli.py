@@ -177,6 +177,9 @@ def _model_config(cfg: dict) -> mdl.ModelConfig:
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
+    """The run's TrainConfig; a CLI run trains at least one epoch."""
+    if cfg["epochs"] < 1:
+        raise ConfigError(f"epochs must be at least 1, got {cfg['epochs']}")
     return _config(training.TrainConfig, cfg, objective=_config(obj.ObjectiveConfig, cfg))
 
 
@@ -315,10 +318,14 @@ def _run_training(
     token_classes,
 ) -> evaluation.EvalRun:
     """Train, then write the run's metrics stream, checkpoint, masks and final
-    metrics; final.json comes last."""
+    metrics; final.json comes last.  Masks and final metrics are the selected
+    epoch's evaluation of its final split during training, not a second pass."""
     best, history = training.train(params, splits, train_cfg, token_classes=token_classes)
     _write_metrics_stream(out_dir, history)
-    run = evaluation.evaluate_model(best, _final_split(splits))
+    selected = training.select_model(
+        history, train_cfg.objective.alpha, train_cfg.delta_sparsity
+    )
+    run = history[selected].final_run
     mdl.save_checkpoint(out_dir / "checkpoint.npz", best, meta={"config": cfg})
     _write_final(out_dir, run)
     return run

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from collections import Counter
 from contextlib import contextmanager
@@ -208,11 +209,14 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, dim: int, seed: int = 0
                     f"expected {dim} values, got {len(values)}"
                 )
             try:
-                vectors[vocab.token_to_id[token]] = [float(v) for v in values]
+                row = [float(v) for v in values]
             except ValueError:
                 raise CorpusError(
                     f"{path}:{lineno}: token {token!r} has a value that is not a number"
                 ) from None
+            if not all(map(math.isfinite, row)):
+                raise CorpusError(f"{path}:{lineno}: token {token!r} has a non-finite value")
+            vectors[vocab.token_to_id[token]] = row
     vectors[PAD_ID] = 0.0
     vectors[MASK_ID] = 0.0
     return vectors
@@ -279,17 +283,21 @@ def _parse_jsonl_record(line: str, lineno: int, domain: Optional[str]) -> Option
 
     if "label" in record:
         label = record["label"]
-        if label not in (0, 1):
+        if isinstance(label, bool) or label not in (0, 1):
             raise CorpusError(f"line {lineno}: label must be 0 or 1, got {label!r}")
     elif "rating" in record:
         if domain is None:
             raise CorpusError(f"line {lineno}: raw rating present but no domain given")
         try:
+            if isinstance(record["rating"], bool):  # float(True) is 1.0
+                raise TypeError
             rating = float(record["rating"])
         except (TypeError, ValueError):
             raise CorpusError(
                 f"line {lineno}: rating must be a number, got {record['rating']!r}"
             ) from None
+        if not math.isfinite(rating):
+            raise CorpusError(f"line {lineno}: rating must be finite, got {record['rating']!r}")
         label = _binarize_rating(rating, domain)
         if label is None:
             return None
@@ -577,42 +585,48 @@ class SynthConfig:
 
 
 def _synth_document(
-    cfg: SynthConfig, label: int, rng: np.random.Generator
+    cfg: SynthConfig, pools: tuple[np.ndarray, ...], label: int, rng: np.random.Generator
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    fillers = cfg.filler_tokens
-    informative = cfg.informative_tokens[label]
-    tokens = list(rng.choice(fillers, size=cfg.doc_length))
+    """One document from `pools` = (fillers, negative informative, positive
+    informative, markers), object arrays of `str` that `rng.choice` indexes
+    without converting them on every draw."""
+    fillers, informative, markers = pools[0], pools[1 + label], pools[3]
+    tokens = rng.choice(fillers, size=cfg.doc_length).tolist()
     start = int(rng.integers(0, cfg.doc_length - cfg.span_length + 1))
-    span_tokens = rng.choice(informative, size=cfg.span_length)
-    tokens[start : start + cfg.span_length] = list(span_tokens)
+    end = start + cfg.span_length
+    tokens[start:end] = rng.choice(informative, size=cfg.span_length).tolist()
     gold = [0] * cfg.doc_length
-    gold[start : start + cfg.span_length] = [1] * cfg.span_length
+    gold[start:end] = [1] * cfg.span_length
     if label == 0 and rng.random() < cfg.marker_correlation:
-        outside = [i for i in range(cfg.doc_length) if not gold[i]]
-        pos = int(rng.choice(outside))
-        tokens[pos] = str(rng.choice(cfg.marker_tokens))
-    return tuple(str(t) for t in tokens), tuple(gold)
+        outside = [*range(start), *range(end, cfg.doc_length)]
+        pos = int(rng.choice(outside))  # drawn before the marker, not as one assignment
+        tokens[pos] = rng.choice(markers)
+    return tuple(tokens), tuple(gold)
 
 
 def synth_generate(cfg: SynthConfig) -> Splits:
     """Generate disjoint train/dev/annotation splits, fully determined by the seed."""
     rng = np.random.default_rng(cfg.seed)
     seen: set[tuple[str, ...]] = set()
+    pools = tuple(
+        np.array(tokens, dtype=object)
+        for tokens in (cfg.filler_tokens, *cfg.informative_tokens, cfg.marker_tokens)
+    )
 
     def generate(split: str, size: int) -> Dataset:
         labels = np.array([1] * (size // 2) + [0] * (size - size // 2))
         rng.shuffle(labels)
         examples = []
-        for i, label in enumerate(labels):
+        for i, label in enumerate(labels.tolist()):
             for _ in range(100):
-                tokens, gold = _synth_document(cfg, int(label), rng)
+                tokens, gold = _synth_document(cfg, pools, label, rng)
                 if tokens not in seen:
                     break
             else:
                 raise CorpusError("could not generate distinct documents; vocabulary too small")
             seen.add(tokens)
             examples.append(
-                Example(id=f"{split}-{i:05d}", tokens=tokens, label=int(label), gold_mask=gold)
+                Example(id=f"{split}-{i:05d}", tokens=tokens, label=label, gold_mask=gold)
             )
         return Dataset(split=split, examples=tuple(examples), aspect="synthetic")
 

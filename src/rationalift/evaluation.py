@@ -44,6 +44,12 @@ class RationaleMetrics:
         return out
 
 
+def _joined(masks: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The masks end to end in one array, and the length of each."""
+    sizes = np.fromiter(map(len, masks), dtype=np.int64, count=len(masks))
+    return np.concatenate([np.zeros(0, dtype=np.int64), *masks]), sizes
+
+
 def token_prf(
     pred_masks: Sequence[Sequence[int]], gold_masks: Sequence[Sequence[int]]
 ) -> tuple[float, float, float]:
@@ -53,17 +59,18 @@ def token_prf(
     """
     if len(pred_masks) != len(gold_masks):
         raise ValueError("pred and gold mask lists differ in length")
-    tp = npred = ngold = 0
-    for i, (pred, gold) in enumerate(zip(pred_masks, gold_masks)):
-        pred = np.asarray(pred).astype(int)
-        gold = np.asarray(gold).astype(int)
-        if pred.shape != gold.shape:
-            raise ValueError(
-                f"example {i}: mask length mismatch ({pred.shape[0]} vs {gold.shape[0]})"
-            )
-        tp += int(np.sum((pred == 1) & (gold == 1)))
-        npred += int(pred.sum())
-        ngold += int(gold.sum())
+    pred, pred_sizes = _joined(pred_masks)
+    gold, gold_sizes = _joined(gold_masks)
+    mismatch = np.flatnonzero(pred_sizes != gold_sizes)
+    if mismatch.size:
+        i = int(mismatch[0])
+        raise ValueError(
+            f"example {i}: mask length mismatch ({pred_sizes[i]} vs {gold_sizes[i]})"
+        )
+    pred, gold = pred.astype(int), gold.astype(int)
+    tp = int(np.sum((pred == 1) & (gold == 1)))
+    npred = int(pred.sum())
+    ngold = int(gold.sum())
     p = tp / npred if npred else 0.0
     r = tp / ngold if ngold else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
@@ -71,11 +78,15 @@ def token_prf(
 
 
 def sparsity(pred_masks: Sequence[Sequence[int]], lengths: Optional[Sequence[int]] = None) -> float:
-    """Mean over examples of selected-token fraction."""
+    """Mean over examples, in order, of the selected-token fraction: a mask's
+    sum over `lengths` (by default the mask's own length)."""
+    flat, sizes = _joined(pred_masks)
+    ends = np.cumsum(sizes)
+    cumulative = np.concatenate([[0], np.cumsum(flat)])
+    sums = cumulative[ends] - cumulative[ends - sizes]
     if lengths is None:
-        lengths = [len(m) for m in pred_masks]
-    fractions = [float(np.sum(m)) / l for m, l in zip(pred_masks, lengths)]
-    return float(np.mean(fractions))
+        lengths = sizes
+    return float(np.mean(sums / np.asarray(lengths, dtype=np.float64)))
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import pickle
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
@@ -100,9 +101,13 @@ class EpochRecord:
     ann_f1: Optional[float] = None
     marker_rate: Optional[float] = None
     composition: Optional[dict[str, float]] = None
+    # the epoch's evaluation of its final split (annotation, or dev without
+    # one); `train` keeps it on the selected epoch only
+    final_run: Optional[evaluation.EvalRun] = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+        return {k: v for k, v in self.__dict__.items()
+                if v is not None and k != "final_run"}
 
 
 TrainHistory = list[EpochRecord]
@@ -210,15 +215,17 @@ def select_model(history: TrainHistory, alpha: float, delta_sparsity: float = 0.
 def _evaluate_epoch(
     params: mdl.ModelParams, splits: Splits, class_rows: Optional[list[list[str]]]
 ) -> dict:
-    """The evaluation fields of an epoch's `EpochRecord`; `class_rows` are the
-    dev documents' token classes, or None without a token-class map.  The
-    annotation split and dev go through `_map_forked`, so with a free CPU the
-    annotation split is evaluated in a child while the caller evaluates dev."""
+    """The evaluation fields of an epoch's `EpochRecord`, `final_run` included;
+    `class_rows` are the dev documents' token classes, or None without a
+    token-class map.  The annotation split and dev go through `_map_forked`,
+    so with a free CPU the annotation split is evaluated in a child while the
+    caller evaluates dev."""
 
     def annotation() -> dict:
-        ann = evaluation.evaluate_model(params, splits.annotation).metrics
+        run = evaluation.evaluate_model(params, splits.annotation)
+        ann = run.metrics
         return dict(ann_acc=ann.acc, ann_sparsity=ann.s, ann_precision=ann.p,
-                    ann_recall=ann.r, ann_f1=ann.f1)
+                    ann_recall=ann.r, ann_f1=ann.f1, final_run=run)
 
     def dev() -> dict:
         run = evaluation.evaluate_model(params, splits.dev)
@@ -226,6 +233,8 @@ def _evaluate_epoch(
         if class_rows is not None:
             fields["marker_rate"] = evaluation.marker_inclusion_rate(run.masks, class_rows)
             fields["composition"] = evaluation.selection_composition(run.masks, class_rows)
+        if splits.annotation is None:
+            fields["final_run"] = run
         return fields
 
     parts = [dev] if splits.annotation is None else [annotation, dev]
@@ -242,6 +251,7 @@ def train(
     token_classes: Optional[Mapping[str, str]] = None,
 ) -> tuple[mdl.ModelParams, TrainHistory]:
     """Joint cooperative training; returns the checkpoint chosen by select_model.
+    The chosen epoch's record alone keeps its `final_run`.
 
     Generator-owned and shared parameters step with lr_gen, predictor-owned
     with lr_pred.  Fully deterministic given the config seed.
@@ -301,6 +311,10 @@ def train(
         history.append(EpochRecord(**train_fields, **eval_fields))
         if select_model(history, cfg.objective.alpha, cfg.delta_sparsity) == len(history) - 1:
             best_state = state
+            for earlier in history[:-1]:
+                earlier.final_run = None
+        else:
+            history[-1].final_run = None
         train_fields = next_fields[0] if next_fields else None
     best = params.clone()
     best.load_state(best_state)
@@ -455,14 +469,15 @@ def _score_cell(params: mdl.ModelParams, splits: Splits, cfg: TrainConfig) -> fl
     return float(history[select_model(history, cfg.objective.alpha, cfg.delta_sparsity)].ann_f1)
 
 
-def _run_child(job: Callable[[], object], conn) -> None:
-    """A forked child's body: send back `(True, job())`, or `(False,
-    (exception, formatted traceback))` if the job raised."""
+def _run_child(job: Callable[[], object], out) -> None:
+    """A forked child's body: pickle `(True, job())`, or `(False,
+    (exception, formatted traceback))` if the job raised, into the file `out`."""
     try:
         outcome = (True, job())
     except Exception as exc:
         outcome = (False, (exc, traceback.format_exc()))
-    conn.send(outcome)
+    pickle.dump(outcome, out, protocol=pickle.HIGHEST_PROTOCOL)
+    out.flush()
 
 
 def _map_forked(job: Callable, items: Sequence, role: str) -> list:
@@ -475,6 +490,9 @@ def _map_forked(job: Callable, items: Sequence, role: str) -> list:
     the caller still sees its share.  A child inherits `job` (a closure need
     not pickle) and the caller's memory, copy-on-write, and only its results
     come back: an item may change caller state only if no later item reads it.
+    A child writes its results to an unlinked temporary file, not a pipe, so
+    that it exits once done however large they are, and `model._cpu_count`
+    gives its CPU back to the caller, which may still be running its share.
     Results come back in item order.
 
     The first failure seen is raised here with its type, the child's
@@ -491,6 +509,7 @@ def _map_forked(job: Callable, items: Sequence, role: str) -> list:
         return {k: job(items[k]) for k in range(c, n, w)}
 
     import multiprocessing
+    import tempfile
 
     ctx = multiprocessing.get_context("fork")
     # a child must not write out what the caller has buffered a second time
@@ -499,19 +518,18 @@ def _map_forked(job: Callable, items: Sequence, role: str) -> list:
     children = []
     try:
         for c in range(w - 1):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_run_child, args=(lambda c=c: share(c), send))
+            out = tempfile.TemporaryFile()
+            child = ctx.Process(target=_run_child, args=(lambda c=c: share(c), out))
             child.start()
-            children.append((child, recv))
-            send.close()  # the child holds the only write end, so its death reads as EOF
+            children.append((child, out))
         results = share(w - 1)
-        for child, recv in children:
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                child.join()
+        for child, out in children:
+            child.join()
+            if child.exitcode != 0:
                 raise RuntimeError(f"{role} {child.name} exited with code {child.exitcode} "
-                                   "before sending its results") from None
+                                   "before sending its results")
+            out.seek(0)
+            ok, value = pickle.load(out)
             if not ok:
                 exc, remote_tb = value
                 raise exc from RuntimeError(f"in {role} {child.name}:\n{remote_tb}")
@@ -521,9 +539,9 @@ def _map_forked(job: Callable, items: Sequence, role: str) -> list:
             child.terminate()
         raise
     finally:
-        for child, recv in children:
+        for child, out in children:
             child.join()
-            recv.close()
+            out.close()
     return [results[k] for k in range(n)]
 
 
@@ -556,6 +574,8 @@ def lr_grid(
         raise ValueError("rate and seed lists must be non-empty")
     if splits.annotation is None:
         raise ValueError("an annotation split is required to score grid cells")
+    if base_cfg.epochs < 1:
+        raise ValueError(f"a grid cell trains at least one epoch, got epochs={base_cfg.epochs}")
     jobs = [(i, j, seed) for i in range(len(gen_rates)) for j in range(len(pred_rates))
             for seed in seeds]
 

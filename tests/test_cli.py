@@ -12,6 +12,7 @@ import pytest
 
 from rationalift import cli
 from rationalift import data as dat
+from rationalift import evaluation
 from rationalift import model as mdl
 from rationalift import objective as obj
 from rationalift import training
@@ -130,6 +131,53 @@ class TestTrainCommand:
         assert (a / "final.json").read_bytes() == (b / "final.json").read_bytes()
         assert (a / "metrics.jsonl").read_bytes() == (b / "metrics.jsonl").read_bytes()
         assert (a / "masks.jsonl").read_bytes() == (b / "masks.jsonl").read_bytes()
+
+    def test_evaluates_each_split_once_per_epoch(self, synth_cfg, tmp_path, monkeypatch):
+        """final.json and masks.jsonl reuse the selected epoch's evaluation:
+        no split is evaluated after `train` returns."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every call in-process
+        calls, trained = [], []
+        evaluate, real_train = evaluation.evaluate_model, training.train
+
+        def counting_evaluate(params, dataset):
+            calls.append((dataset.split, bool(trained)))
+            return evaluate(params, dataset)
+
+        def marking_train(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            trained.append(True)
+            return result
+
+        monkeypatch.setattr(evaluation, "evaluate_model", counting_evaluate)
+        monkeypatch.setattr(training, "train", marking_train)
+        assert cli.main(["train", "--config", str(synth_cfg), "--epochs", "2",
+                         "--out", str(tmp_path / "run")]) == 0
+        assert sorted(calls) == [("annotation", False)] * 2 + [("dev", False)] * 2
+
+    # (mode, extra flags, selected epoch index of 3): epoch 2 of 3 is evaluated
+    # in a forked child while epoch 3 trains, the last epoch in the caller
+    @pytest.mark.parametrize("mode, extra, selected", [
+        ("fr", [], 1),
+        ("rnp", ["--alpha", "0.5", "--lr-gen", "2e-2", "--lr-pred", "2e-2"], 2),
+    ], ids=["selected-in-child", "selected-last"])
+    def test_final_artifacts_equal_fresh_evaluation(self, synth_cfg, tmp_path, monkeypatch,
+                                                    mode, extra, selected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(synth_cfg), "--mode", mode, "--seed", "0",
+                         "--epochs", "3", "--out", str(out)] + extra) == 0
+        records = [training.EpochRecord(**json.loads(line))
+                   for line in (out / "metrics.jsonl").read_text().splitlines()]
+        cfg = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        assert training.select_model(records, cfg["alpha"], cfg["delta_sparsity"]) == selected
+        params, _ = mdl.load_checkpoint(out / "checkpoint.npz")
+        splits, _, _, _ = cli.resolve_data(cfg)
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        cli._write_final(fresh, evaluation.evaluate_model(params, splits.annotation))
+        for name in ("final.json", "masks.jsonl"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert json.loads((out / "final.json").read_text())["F1"] == records[selected].ann_f1
 
     def test_default_out_under_env_root(self, synth_cfg, tmp_path):
         code = cli.main(["train", "--config", str(synth_cfg), "--seed", "5"])
@@ -314,6 +362,20 @@ class TestExitCodes:
         assert code == 2
         assert "share_depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["skew", "--kind", "predictor", "--k", "1"],
+        ["grid", "--gen-rates", "1e-3", "--pred-rates", "1e-3"],
+    ], ids=["train", "skew", "grid"])
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_fewer_than_one_epoch_exits_2(self, synth_cfg, tmp_path, capsys, argv, epochs):
+        out = tmp_path / "bad"
+        code = cli.main(argv + ["--config", str(synth_cfg), "--epochs", epochs,
+                                "--out", str(out)])
+        assert code == 2
+        assert "epochs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_train_config_exits_2(self, synth_cfg, tmp_path, capsys):
         code = cli.main(["train", "--config", str(synth_cfg), "--lr-gen", "0",
                          "--out", str(tmp_path / "bad")])
@@ -416,19 +478,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case, where", [
         ("rating", "line 2: rating"),
+        ("nan-rating", "line 2: rating must be finite"),
+        ("bool-label", "line 1: label must be 0 or 1"),
         ("span", "line 1: example a0: span"),
         ("embedding", "vec.txt:2: token 'good'"),
+        # a non-finite vector once trained to a non-finite loss and exited 3
+        ("nan-embedding", "vec.txt:2: token 'good' has a non-finite value"),
     ])
     def test_malformed_corpus_value_exits_2(self, tmp_path, capsys, case, where):
         reviews = [{"rating": 0.9, "text": "good beer"}, {"rating": 0.1, "text": "bad beer"}]
-        if case == "rating":
-            reviews[1]["rating"] = "abc"
+        if case in ("rating", "nan-rating"):
+            reviews[1]["rating"] = "abc" if case == "rating" else float("nan")
         spans = [["a", 1]] if case == "span" else [[0, 1]]
-        vectors = "beer 0.1 0.2\n" + ("good 0.1 abc\n" if case == "embedding" else "")
+        bad_vector = {"embedding": "good 0.1 abc\n", "nan-embedding": "good nan 0.1\n"}
+        vectors = "beer 0.1 0.2\n" + bad_vector.get(case, "")
+        label = True if case == "bool-label" else 1
         paths = {}
         for name, text in [
             ("train", "".join(json.dumps(r) + "\n" for r in reviews)),
-            ("annotation", json.dumps({"id": "a0", "label": 1, "text": "good beer",
+            ("annotation", json.dumps({"id": "a0", "label": label, "text": "good beer",
                                        "rationale_spans": spans}) + "\n"),
             ("embeddings", vectors),
         ]:

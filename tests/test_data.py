@@ -1,5 +1,6 @@
 """Corpus loading, vocabulary, batching, and synthetic-corpus contracts."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -113,6 +114,29 @@ class TestLoadReviews:
                             {"id": "b", "label": 0, "text": "bad"}])
         ds = load_reviews(path, "aroma", "beer", split="dev")
         assert sorted(ex.label for ex in ds) == [0, 1]
+
+    @pytest.mark.parametrize("rating", ["NaN", "Infinity", '"nan"'])
+    def test_non_finite_rating_rejected(self, tmp_path, rating):
+        # a NaN rating compares false against every threshold, so it was dropped
+        path = tmp_path / "beer.jsonl"
+        path.write_text('{"id": "a", "rating": 0.9, "text": "ok beer"}\n'
+                        f'{{"id": "b", "rating": {rating}, "text": "odd beer"}}\n')
+        with pytest.raises(CorpusError, match="line 2: rating must be finite"):
+            load_reviews(path, "aroma", "beer", split="dev")
+
+    def test_boolean_rating_rejected(self, tmp_path):
+        path = tmp_path / "beer.jsonl"
+        _write_lines(path, [{"id": "a", "rating": True, "text": "good"}])
+        with pytest.raises(CorpusError, match="line 1: rating must be a number, got True"):
+            load_reviews(path, "aroma", "beer", split="dev")
+
+    @pytest.mark.parametrize("label", [True, False])
+    def test_boolean_label_rejected(self, tmp_path, label):
+        # True == 1 and False == 0, so `in (0, 1)` alone lets a boolean through
+        path = tmp_path / "lab.jsonl"
+        _write_lines(path, [{"id": "a", "label": label, "text": "good"}])
+        with pytest.raises(CorpusError, match="line 1: label must be 0 or 1"):
+            load_reviews(path, "aroma", "beer", split="dev")
 
 
 class TestAnnotations:
@@ -238,6 +262,14 @@ class TestEmbeddings:
         with pytest.raises(CorpusError, match="good"):
             load_embeddings(path, vocab, 3, seed=0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        vocab = Vocabulary.from_tokens(["good", "bad"])
+        path = tmp_path / "vec.txt"
+        path.write_text(f"bad 0.1 0.2\ngood {value} 0.1\n")
+        with pytest.raises(CorpusError, match=r"vec\.txt:2: token 'good' has a non-finite"):
+            load_embeddings(path, vocab, 2, seed=0)
+
 
 class TestBatching:
     def _dataset(self, lengths):
@@ -296,7 +328,39 @@ class TestBatching:
         assert batch.gold.tolist() == [[0, 0, 0, 0]]
 
 
+# sha256 over every split's (id, tokens, label, gold mask), taken from the
+# generator as it stood before it drew from token arrays built once per call:
+# the corpora of the tests, the acceptance suite, the configs and the benchmark
+SYNTH_DIGESTS = [
+    (dict(), "81721c7a293c1054"),  # the defaults: acceptance recovery corpus
+    (dict(marker_correlation=1.0, train_size=600, marker_count=5),
+     "714f8271aac5b3d3"),  # acceptance skew corpus
+    (dict(marker_correlation=1.0, train_size=600, marker_count=5, seed=1),
+     "52d9356b1af55f6f"),  # benchmark skew-fr, seed 1
+    (dict(vocab_size=1000, doc_length=256, span_length=16, seed=1, train_size=64,
+          dev_size=16, annotation_size=16), "73b97287d12af066"),  # benchmark long-rnp
+    (dict(train_size=600, seed=1), "fc4153a88d07cef8"),  # benchmark cli-grid
+    (dict(vocab_size=40, doc_length=10, span_length=2, train_size=40, dev_size=16,
+          annotation_size=16, informative_per_class=5), "44baaa3e31a57bb3"),  # CLI tests
+    (dict(vocab_size=40, doc_length=10, span_length=2, train_size=60, dev_size=20,
+          annotation_size=20, informative_per_class=5, marker_correlation=0.5),
+     "c20ac256d46cbbb9"),  # training tests
+    (dict(vocab_size=30, doc_length=7, span_length=2, seed=3, train_size=6, dev_size=2,
+          annotation_size=2, informative_per_class=3), "252e11a2297d4039"),  # model tests
+]
+
+
+def _splits_digest(splits) -> str:
+    rows = [[ex.id, list(ex.tokens), ex.label, list(ex.gold_mask)]
+            for ds in (splits.train, splits.dev, splits.annotation) for ex in ds]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("overrides, digest", SYNTH_DIGESTS)
+    def test_corpus_digest_pinned(self, overrides, digest):
+        assert _splits_digest(synth_generate(SynthConfig(**overrides))) == digest
+
     def test_no_marker_when_correlation_zero(self):
         cfg = SynthConfig(train_size=60, dev_size=20, annotation_size=20, seed=1)
         splits = synth_generate(cfg)

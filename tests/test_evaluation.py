@@ -37,6 +37,59 @@ def _brute_force_prf(pred_masks, gold_masks):
     return p, r, f1
 
 
+def _loop_prf(pred_masks, gold_masks):
+    """token_prf as a loop over examples: the vectorised version's oracle."""
+    tp = npred = ngold = 0
+    for pred, gold in zip(pred_masks, gold_masks):
+        pred, gold = np.asarray(pred).astype(int), np.asarray(gold).astype(int)
+        tp += int(np.sum((pred == 1) & (gold == 1)))
+        npred += int(pred.sum())
+        ngold += int(gold.sum())
+    p = tp / npred if npred else 0.0
+    r = tp / ngold if ngold else 0.0
+    f1 = 2 * p * r / (p + r) if p + r else 0.0
+    return p, r, f1
+
+
+def _loop_sparsity(pred_masks, lengths=None):
+    if lengths is None:
+        lengths = [len(m) for m in pred_masks]
+    return float(np.mean([float(np.sum(m)) / n for m, n in zip(pred_masks, lengths)]))
+
+
+# ragged 0/1 masks, each as a list, an int array or a bool array
+_mask = st.lists(st.integers(0, 1), min_size=1, max_size=30).flatmap(
+    lambda m: st.sampled_from([m, np.array(m, dtype=np.int64), np.array(m, dtype=bool)]))
+
+
+class TestVectorisedScoresEqualLoop:
+    @given(st.lists(st.tuples(_mask, _mask), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_token_prf(self, pairs):
+        pred = [p[: min(len(p), len(g))] for p, g in pairs]
+        gold = [g[: min(len(p), len(g))] for p, g in pairs]
+        assert token_prf(pred, gold) == _loop_prf(pred, gold)  # float ==: bit for bit
+
+    @given(st.lists(_mask, min_size=1, max_size=12), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sparsity(self, masks, own_lengths, data):
+        lengths = None if own_lengths else [
+            data.draw(st.integers(1, len(m))) for m in masks]
+        assert sparsity(masks, lengths) == _loop_sparsity(masks, lengths)
+
+    @given(st.lists(_mask, min_size=2, max_size=8), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_first_length_mismatch_named(self, masks, data):
+        i = data.draw(st.integers(0, len(masks) - 1))
+        gold = [list(m) for m in masks]
+        gold[i] = gold[i] + [0]
+        with pytest.raises(ValueError, match=f"example {i}: mask length mismatch"):
+            token_prf(masks, gold)
+
+    def test_no_masks(self):
+        assert token_prf([], []) == (0.0, 0.0, 0.0)
+
+
 class TestTokenPRF:
     def test_partial_overlap(self):
         pred = [[0, 0, 1, 1, 1, 0]]

@@ -390,6 +390,14 @@ class TestLrGrid:
         with pytest.raises(ValueError, match="non-empty"):
             lr_grid(mcfg, vocab, splits, _train_cfg(), [], [1e-3], [0])
 
+    def test_zero_epochs_rejected_before_any_cell(self, small_world, monkeypatch):
+        # a cell with no epochs has no history to score
+        _, splits, vocab = small_world
+        monkeypatch.setattr(mdl, "build_model", lambda *a, **k: pytest.fail("cell built"))
+        with pytest.raises(ValueError, match="at least one epoch"):
+            lr_grid(GRID_MODEL, vocab, splits, replace(GRID_TRAIN, epochs=0), [1e-3], [1e-3],
+                    [0])
+
 
 def _fake_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -401,6 +409,23 @@ def _grid(splits, vocab, seeds, run_cell=training._score_cell):
 
 
 class TestMapForked:
+    def test_child_exits_before_caller_reads(self, monkeypatch):
+        """A child does not wait for the caller to read its results, however
+        large, so the caller gets the child's CPU back for the rest of its share."""
+        _fake_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def job(item):
+            if os.getpid() != caller:
+                return bytes(1 << 20)  # far more than a pipe's buffer holds
+            deadline = time.monotonic() + 10
+            while multiprocessing.active_children() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return mdl._cpu_count()
+
+        result, cpus = training._map_forked(job, ["child", "caller"], "test job")
+        assert result == bytes(1 << 20) and cpus == 2
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_last_item_runs_in_caller(self, monkeypatch, cpus):
         _fake_cpus(monkeypatch, cpus)
@@ -590,6 +615,33 @@ class TestOverlappedEvaluation:
             assert best1.keys() == best2.keys()
             for name in best1:
                 assert np.array_equal(best1[name], best2[name]), name
+
+    @pytest.mark.parametrize("dev_only", [False, True], ids=["annotation", "dev_only"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_selected_epoch_keeps_its_final_run(self, small_world, monkeypatch, dev_only, cpus):
+        """The selected record alone holds `final_run`, the evaluation of the
+        final split by the returned weights; with two CPUs the selected epoch,
+        not the last, was evaluated in a forked child."""
+        _, splits, vocab = small_world
+        if dev_only:
+            splits = dat.Splits(train=splits.train, dev=splits.dev)
+        _fake_cpus(monkeypatch, cpus)
+        # the recipe of test_selected_params_reproduce_selected_epoch, in band
+        cfg = _train_cfg(epochs=5, seed=3, lr_gen=2e-2, lr_pred=2e-2, delta_sparsity=0.4,
+                         objective=obj.ObjectiveConfig(lambda1=1.0, lambda2=0.05, alpha=0.5))
+        best, history = train(_model(vocab, seed=7), splits, cfg)
+        idx = select_model(history, cfg.objective.alpha, cfg.delta_sparsity)
+        assert idx < cfg.epochs - 1
+        assert [r.final_run is not None for r in history] == [k == idx for k in range(5)]
+        run = history[idx].final_run
+        fresh = evaluation.evaluate_model(best, splits.dev if dev_only else splits.annotation)
+        assert run.metrics == fresh.metrics and run.ids == fresh.ids
+        for got, want in ((run.masks, fresh.masks), (run.gold, fresh.gold),
+                          ([run.logits, run.labels], [fresh.logits, fresh.labels])):
+            assert (got is None) == (want is None)
+            for a, b in zip(got or [], want or []):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert "final_run" not in history[idx].to_json_dict()
 
     def test_divergence_while_child_pending(self, small_world, monkeypatch, evaluate_in_child):
         _, splits, vocab = small_world
