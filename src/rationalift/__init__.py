@@ -41,7 +41,6 @@ from .model import (
     build_model,
     encode,
     forward,
-    generator_probs,
     load_checkpoint,
     loss_and_grads,
     param_count,
@@ -54,7 +53,6 @@ from .objective import (
     ObjectiveConfig,
     cross_entropy,
     sparsity_coherence,
-    total_loss,
 )
 from .training import (
     DivergenceError,

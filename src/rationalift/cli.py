@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -128,20 +129,12 @@ def read_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults, then the config file, then each parsed flag whose dest is a
+    config key and that was given."""
     cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
     if getattr(args, "config", None):
         cfg.update(read_config_file(args.config))
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "share_depth": getattr(args, "share_depth", None),
-        "lr_gen": getattr(args, "lr_gen", None),
-        "lr_pred": getattr(args, "lr_pred", None),
-        "epochs": getattr(args, "epochs", None),
-        "alpha": getattr(args, "alpha", None),
-        "skew_kind": getattr(args, "kind", None),
-        "skew_k": getattr(args, "k", None),
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg.update({k: v for k, v in vars(args).items() if k in CONFIG_SCHEMA and v is not None})
     mode = getattr(args, "mode", None)
     if cfg["share_depth"] is None:
         if mode == "rnp":
@@ -394,10 +387,14 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
             f"the grid runs the two-phase model only; the config sets share_depth = "
             f"{cfg['share_depth']} (unset it or set it to 0)"
         )
+    for flag, names in (("--gen-rates", [f"{v:g}" for v in gen_rates]),
+                        ("--pred-rates", [f"{v:g}" for v in pred_rates]),
+                        ("--seeds", [str(v) for v in seeds])):
+        if len(set(names)) < len(names):  # as cell directories spell them, two would share one
+            raise ConfigError(f"{flag} repeats a value: {','.join(names)}")
     model_cfg, base_cfg = _model_config(cfg), _train_config(cfg)
-    for lr_gen in gen_rates:  # each cell's rates are checked before anything is written
-        for lr_pred in pred_rates:
-            _train_config(dict(cfg, lr_gen=lr_gen, lr_pred=lr_pred))
+    for lr_gen, lr_pred, seed in itertools.product(gen_rates, pred_rates, seeds):
+        _train_config(dict(cfg, lr_gen=lr_gen, lr_pred=lr_pred, seed=seed))  # before any write
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
     if splits.annotation is None:
         raise ConfigError("the grid needs an annotation split to score F1")
@@ -563,9 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_skew = sub.add_parser("skew", help="skew pretraining followed by joint training")
     add_common(p_skew, trains=True, picks_model=True)
-    p_skew.add_argument("--kind", choices=["generator", "predictor"], required=True)
+    p_skew.add_argument("--kind", dest="skew_kind", choices=["generator", "predictor"],
+                        required=True)
     p_skew.add_argument(
-        "--k", type=float, required=True,
+        "--k", dest="skew_k", metavar="K", type=float, required=True,
         help="accuracy threshold (generator) or whole number of epochs (predictor)",
     )
     p_skew.set_defaults(func=cmd_skew)

@@ -451,7 +451,6 @@ class Batch:
     pad_mask: np.ndarray  # (B, L) float64
     lengths: np.ndarray  # (B,) int64, post-truncation
     labels: np.ndarray  # (B,) int64
-    gold: Optional[np.ndarray] = None  # (B, L) int8, only when every example has gold
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -467,16 +466,14 @@ def make_batches(
 ) -> list[Batch]:
     """Chunk a dataset into padded batches, truncating at max_len.
 
-    Equal seeds give identical batch order.  gold masks are truncated together
-    with the tokens; annotation examples longer than max_len stay in (scored on
-    the truncated prefix) with a warning.
+    Equal seeds give identical batch order.  Annotation examples longer than
+    max_len stay in, with a warning: `evaluate_model` scores the kept prefix.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = np.arange(len(dataset))
     if shuffle:
         np.random.default_rng(seed).shuffle(order)
-    with_gold = dataset.has_gold()
     truncated = sum(1 for ex in dataset if len(ex) > max_len)
     if truncated and dataset.split == "annotation":
         logger.warning(
@@ -493,13 +490,9 @@ def make_batches(
         width = int(lengths.max())
         token_ids = np.full((len(chunk), width), PAD_ID, dtype=np.int32)
         pad_mask = np.zeros((len(chunk), width), dtype=np.float64)
-        gold = np.zeros((len(chunk), width), dtype=np.int8) if with_gold else None
-        for row, ex in enumerate(chunk):
-            n = int(lengths[row])
+        for row, n in enumerate(lengths):
             token_ids[row, :n] = encoded[rows[row]][:n]
             pad_mask[row, :n] = 1.0
-            if gold is not None:
-                gold[row, :n] = ex.gold_mask[:n]
         batches.append(
             Batch(
                 ids=tuple(ex.id for ex in chunk),
@@ -507,7 +500,6 @@ def make_batches(
                 pad_mask=pad_mask,
                 lengths=lengths,
                 labels=np.array([ex.label for ex in chunk], dtype=np.int64),
-                gold=gold,
             )
         )
     return batches
@@ -555,6 +547,8 @@ class SynthConfig:
             raise CorpusError("train_size must be even so the train split balances exactly")
         if min(self.train_size, self.dev_size, self.annotation_size) < 2:
             raise CorpusError("split sizes must be at least 2")
+        if self.seed < 0:
+            raise CorpusError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def filler_count(self) -> int:
@@ -588,19 +582,20 @@ def _synth_document(
     cfg: SynthConfig, pools: tuple[np.ndarray, ...], label: int, rng: np.random.Generator
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """One document from `pools` = (fillers, negative informative, positive
-    informative, markers), object arrays of `str` that `rng.choice` indexes
-    without converting them on every draw."""
+    informative, markers), object arrays of `str`.  `pool[rng.integers(0,
+    len(pool), size)]` draws what `rng.choice(pool, size)` draws, without its
+    per-call argument handling."""
     fillers, informative, markers = pools[0], pools[1 + label], pools[3]
-    tokens = rng.choice(fillers, size=cfg.doc_length).tolist()
+    tokens = fillers[rng.integers(0, len(fillers), cfg.doc_length)].tolist()
     start = int(rng.integers(0, cfg.doc_length - cfg.span_length + 1))
     end = start + cfg.span_length
-    tokens[start:end] = rng.choice(informative, size=cfg.span_length).tolist()
+    tokens[start:end] = informative[rng.integers(0, len(informative), cfg.span_length)].tolist()
     gold = [0] * cfg.doc_length
     gold[start:end] = [1] * cfg.span_length
     if label == 0 and rng.random() < cfg.marker_correlation:
         outside = [*range(start), *range(end, cfg.doc_length)]
-        pos = int(rng.choice(outside))  # drawn before the marker, not as one assignment
-        tokens[pos] = rng.choice(markers)
+        pos = outside[rng.integers(0, len(outside))]  # drawn before the marker token
+        tokens[pos] = markers[rng.integers(0, len(markers))]
     return tuple(tokens), tuple(gold)
 
 

@@ -77,16 +77,14 @@ def token_prf(
     return p, r, f1
 
 
-def sparsity(pred_masks: Sequence[Sequence[int]], lengths: Optional[Sequence[int]] = None) -> float:
-    """Mean over examples, in order, of the selected-token fraction: a mask's
-    sum over `lengths` (by default the mask's own length)."""
+def sparsity(pred_masks: Sequence[Sequence[int]]) -> float:
+    """Mean over examples, in order, of the selected-token fraction of each
+    mask over its own length."""
     flat, sizes = _joined(pred_masks)
     ends = np.cumsum(sizes)
     cumulative = np.concatenate([[0], np.cumsum(flat)])
     sums = cumulative[ends] - cumulative[ends - sizes]
-    if lengths is None:
-        lengths = sizes
-    return float(np.mean(sums / np.asarray(lengths, dtype=np.float64)))
+    return float(np.mean(sums / sizes))
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -102,7 +100,6 @@ class EvalRun:
     masks: list[np.ndarray]  # per-example hard mask, truncated to true length
     labels: np.ndarray
     logits: np.ndarray
-    gold: Optional[list[np.ndarray]]
     metrics: RationaleMetrics
 
 
@@ -111,42 +108,23 @@ EVAL_BATCH_SIZE = 256
 
 def evaluate_model(params: mdl.ModelParams, dataset: Dataset) -> EvalRun:
     """Run the model deterministically (threshold masks) and score it; P/R/F1
-    are micro-averaged over tokens."""
-    batches = make_batches(dataset, params.vocab, EVAL_BATCH_SIZE)
-    ids: list[str] = []
+    are micro-averaged over tokens.  A mask covers the prefix `make_batches`
+    kept, and each gold mask is scored on that prefix."""
     masks: list[np.ndarray] = []
-    gold: Optional[list[np.ndarray]] = [] if dataset.has_gold() else None
-    lengths: list[int] = []
-    labels: list[int] = []
     logits: list[np.ndarray] = []
-    for batch in batches:
+    for batch in make_batches(dataset, params.vocab, EVAL_BATCH_SIZE):
         out = mdl.forward(params, batch, mode="eval")
-        for row in range(len(batch)):
-            n = int(batch.lengths[row])
-            ids.append(batch.ids[row])
-            masks.append(out.mask.hard_mask[row, :n].astype(int))
-            lengths.append(n)
-            labels.append(int(batch.labels[row]))
-            if gold is not None:
-                gold.append(batch.gold[row, :n].astype(int))
+        masks.extend(m[:n].astype(int) for m, n in zip(out.mask.hard_mask, batch.lengths))
         logits.append(out.logits)
     logits_arr = np.concatenate(logits, axis=0)
-    labels_arr = np.array(labels)
-    s = sparsity(masks, lengths)
-    acc = accuracy(logits_arr, labels_arr)
-    if gold is not None:
-        p, r, f1 = token_prf(masks, gold)
-        metrics = RationaleMetrics(s=s, acc=acc, p=p, r=r, f1=f1)
-    else:
-        metrics = RationaleMetrics(s=s, acc=acc)
-    return EvalRun(
-        ids=tuple(ids),
-        masks=masks,
-        labels=labels_arr,
-        logits=logits_arr,
-        gold=gold,
-        metrics=metrics,
-    )
+    labels = dataset.labels
+    p = r = f1 = None
+    if dataset.has_gold():
+        p, r, f1 = token_prf(masks, [ex.gold_mask[: len(m)] for ex, m in zip(dataset, masks)])
+    metrics = RationaleMetrics(s=sparsity(masks), acc=accuracy(logits_arr, labels),
+                               p=p, r=r, f1=f1)
+    return EvalRun(ids=tuple(ex.id for ex in dataset), masks=masks, labels=labels,
+                   logits=logits_arr, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +176,6 @@ _ANSI_PRED = "\x1b[44m"  # blue background
 def render_rationales(
     examples: Sequence[Example],
     pred_masks: Sequence[Sequence[int]],
-    gold_masks: Optional[Sequence[Optional[Sequence[int]]]] = None,
     n: int = 10,
     fmt: str = "ansi",
 ) -> str:
@@ -211,11 +188,7 @@ def render_rationales(
     for i in range(n):
         ex = examples[i]
         pred = list(pred_masks[i])
-        gold = None
-        if gold_masks is not None and gold_masks[i] is not None:
-            gold = list(gold_masks[i])
-        elif ex.gold_mask is not None:
-            gold = list(ex.gold_mask)
+        gold = ex.gold_mask
         pieces = []
         for j, tok in enumerate(ex.tokens):
             p = j < len(pred) and pred[j]
@@ -320,7 +293,7 @@ def _token_states(params: mdl.ModelParams, layers, id_rows: Sequence[np.ndarray]
     states = []
     for emb, pad in _embedded_batches(params, id_rows):
         lengths = pad.sum(axis=1).astype(int)
-        states.extend(s[:n] for s, n in zip(mdl.encode(layers, emb, pad), lengths))
+        states.extend(s[:n] for s, n in zip(mdl.encode(layers, emb, pad)[0], lengths))
     return states
 
 

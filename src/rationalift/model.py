@@ -12,19 +12,10 @@ The first `share_depth` encoder layers of the two views are the *same* objects
 folded variant), so one update moves both views by construction.
 
 All gradients are computed explicitly; `loss_and_grads` accumulates into each
-Parameter's `.grad`.
-
-`BiGRULayer` advances both GRU directions in one shared step loop (step s is
-time s forward and time L-1-s backward), with one batched recurrent matmul
-per step; with a free CPU (`_cpu_count`) and B*H of at least
-`THREADED_MIN_STEP`, the `bw` direction runs the same loop, and in the
-backward its input-gradient GEMMs, on a thread, joined before the layer
-returns, for the same bits.  Its forward cache serves exactly one backward,
-which reuses the cached gate buffer for the gate gradients, copies them to
-batch-major order and frees the buffer before those GEMMs start, so that
-threading them does not raise the step loop's memory peak; forwards that
-need no gradient (`with_cache=False`, the default of `encode` and `forward`)
-keep no per-step state.
+Parameter's `.grad`.  `BiGRULayer` runs a layer's two GRU directions (see its
+docstring for the step loop and `_run_directions` for the helper thread);
+forwards that need no gradient (`with_cache=False`, the default of `encode`
+and `forward`) keep no per-step state.
 """
 
 from __future__ import annotations
@@ -477,18 +468,11 @@ def build_model(
 # ---------------------------------------------------------------------------
 
 
-def encode(
-    layers: Sequence[BiGRULayer], embedded: np.ndarray, pad_mask: np.ndarray, with_cache=False
-):
-    """Per-token states from a stacked bidirectional encoder, with the
-    per-layer caches for `_encode_backward` when `with_cache`."""
-    states, caches = _encode(layers, embedded, pad_mask, with_cache)
-    return (states, caches) if with_cache else states
-
-
-def _encode(layers: Sequence[BiGRULayer], x: np.ndarray, pad_mask: np.ndarray, with_cache: bool):
-    """(states, per-layer caches); the caches are None without `with_cache`,
-    and then no layer keeps per-step state."""
+def encode(layers: Sequence[BiGRULayer], x: np.ndarray, pad_mask: np.ndarray,
+           with_cache: bool = False):
+    """Per-token states from a stacked bidirectional encoder, and the
+    per-layer caches for `_encode_backward`; the caches are None without
+    `with_cache`, and then no layer keeps per-step state."""
     caches = []
     for layer in layers:
         x, cache = layer.forward(x, pad_mask, with_cache=with_cache)
@@ -503,12 +487,6 @@ def _encode_backward(
     for layer, cache in zip(reversed(layers), reversed(caches)):
         dx = layer.backward(cache, dx, pad_mask)
     return dx
-
-
-def generator_probs(params: ModelParams, states: np.ndarray, pad_mask: np.ndarray) -> np.ndarray:
-    """Per-token selection probabilities, forced to 0 at PAD positions."""
-    logits = params.gen_head.forward(states)[..., 0]
-    return sigmoid(logits) * pad_mask
 
 
 @dataclass
@@ -617,7 +595,7 @@ def _predictor(params: ModelParams, masked_embedded: np.ndarray, pad_mask: np.nd
     """The predictor view: encode, max-pool over real tokens, classify.
     Returns the class logits and, with `with_cache`, the cache for
     `_predictor_backward` (else None)."""
-    states, enc_caches = _encode(params.pred_layers, masked_embedded, pad_mask, with_cache)
+    states, enc_caches = encode(params.pred_layers, masked_embedded, pad_mask, with_cache)
     if not with_cache:
         return params.pred_head.forward(pool_max(states, pad_mask)), None
     pooled, pool_cache = pool_max(states, pad_mask, with_cache=True)
@@ -666,7 +644,7 @@ def forward(
     if mask_forward not in ("hard", "soft"):
         raise ValueError("mask_forward must be 'hard' or 'soft'")
     emb_full = params.embedding.value[batch.token_ids]
-    gen_states, gen_caches = _encode(params.gen_layers, emb_full, batch.pad_mask, with_cache)
+    gen_states, gen_caches = encode(params.gen_layers, emb_full, batch.pad_mask, with_cache)
     gen_logits = params.gen_head.forward(gen_states)[..., 0]
     sample = _sample(
         sigmoid(gen_logits), gen_logits, params.config.temperature, mode,
@@ -728,7 +706,6 @@ def loss_and_grads(
     assert cache is not None
     ce, dlogits = obj.cross_entropy_grad(out.logits, batch.labels)
     omega, dmask_reg = obj.sparsity_coherence_grad(out.mask_values, batch.lengths, objective_cfg)
-    total = obj.total_loss(ce, omega)
     demb_masked = _predictor_backward(params, cache["predictor"], dlogits, batch.pad_mask)
 
     # straight-through: d(loss)/d(mask) at forward values, relaxed path to the logits
@@ -741,7 +718,7 @@ def loss_and_grads(
         params.gen_layers, cache["gen_caches"], dgen_states, batch.pad_mask
     )
     _scatter_embedding_grad(params, batch.token_ids, demb_full)
-    return LossBreakdown(ce=ce, omega=omega, total=total)
+    return LossBreakdown(ce=ce, omega=omega, total=ce + omega)
 
 
 # ---------------------------------------------------------------------------

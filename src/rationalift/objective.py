@@ -109,13 +109,3 @@ def sparsity_coherence_grad(
     grad /= batch
     return omega, grad
 
-
-def total_loss(ce: float, omega: float) -> float:
-    return ce + omega
-
-
-def coherence_block_count(mask: np.ndarray) -> int:
-    """Selected contiguous blocks in a binary mask (oracle for the transition sum)."""
-    mask = np.asarray(mask).astype(int)
-    padded = np.concatenate([[0], mask, [0]])
-    return int(np.sum((padded[1:] - padded[:-1]) == 1))

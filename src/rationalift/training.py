@@ -1,13 +1,6 @@
 """Optimization loops: joint cooperative training, asymmetric learning-rate
 grids, and the two skew-pretraining protocols that deliberately induce
-degeneration.
-
-All forked work goes through `_map_forked`, which uses one process per free
-CPU (`model._cpu_count`): the grid's cells, `train`'s evaluation of an epoch
-beside the next epoch's training, and `_evaluate_epoch`'s annotation split
-beside dev.  A BiGRU layer's second direction on a thread, the other use of a
-free CPU, lives in `model`; its thread is joined before the layer returns, so
-none is alive when these fork.  Results equal a single process's bit for bit."""
+degeneration.  All forked work goes through one fork-join, `_map_forked`."""
 
 from __future__ import annotations
 
@@ -51,6 +44,8 @@ class TrainConfig:
             raise ValueError("learning rates must be positive and finite")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +68,8 @@ class SkewConfig:
             raise ValueError(f"unknown skew mode {self.mode!r}")
         if self.batch_size < 1 or self.epoch_cap < 1:
             raise ValueError("batch_size and epoch_cap must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:
             raise ValueError("the skew learning rate must be positive and finite")
         if self.mode == "skewed_generator" and not 0.5 < self.k < 1.0:
@@ -217,9 +214,7 @@ def _evaluate_epoch(
 ) -> dict:
     """The evaluation fields of an epoch's `EpochRecord`, `final_run` included;
     `class_rows` are the dev documents' token classes, or None without a
-    token-class map.  The annotation split and dev go through `_map_forked`,
-    so with a free CPU the annotation split is evaluated in a child while the
-    caller evaluates dev."""
+    token-class map.  The annotation split and dev are two `_map_forked` jobs."""
 
     def annotation() -> dict:
         run = evaluation.evaluate_model(params, splits.annotation)
@@ -254,14 +249,9 @@ def train(
     The chosen epoch's record alone keeps its `final_run`.
 
     Generator-owned and shared parameters step with lr_gen, predictor-owned
-    with lr_pred.  Fully deterministic given the config seed.
-
-    Each epoch's evaluation and the next epoch's training are one
-    `_map_forked` call: with a free CPU, a forked child evaluates the epoch
-    from its copy-on-write weights while the caller trains the next one.  The
-    last epoch is evaluated in the caller (`_evaluate_epoch`).  Without a free
-    CPU, as in a pool or grid worker, all of it runs in the caller.  The
-    history and the returned weights are the same bits either way.
+    with lr_pred.  Fully deterministic given the config seed: each epoch's
+    evaluation and the next epoch's training are one `_map_forked` call, and
+    the history and returned weights are the same bits however it places them.
     """
     if cfg.epochs == 0:
         return params, []
@@ -396,7 +386,7 @@ def _first_token_probs(
     read as P(label = 1), with the generator states and (with `with_cache`)
     caches behind it."""
     emb = params.embedding.value[batch.token_ids]
-    states, caches = mdl._encode(params.gen_layers, emb, batch.pad_mask, with_cache)
+    states, caches = mdl.encode(params.gen_layers, emb, batch.pad_mask, with_cache)
     p0 = mdl.sigmoid(params.gen_head.forward(states)[..., 0][:, 0])
     return p0, states, caches
 
@@ -562,16 +552,17 @@ def lr_grid(
     Each (rate pair, seed) run gets a fresh model built from `seed` and is
     scored by `run_cell(params, splits, cfg)`, which trains it and returns its
     F1; the CLI passes one that also resumes and writes the run's artifacts.
-    The runs go to one process per available CPU, the caller included (see
-    `_map_forked`), so `run_cell` may run in a forked worker, and only its
-    returned F1 comes back: side effects on the caller's objects are lost.
-    Results equal a sequential sweep's, bit for bit, at the same BLAS thread
-    count.
+    The runs are `_map_forked` jobs, so `run_cell` may run in a forked worker
+    and only its returned F1 comes back: side effects of `run_cell` are lost.
+    Results equal a sequential sweep's, bit for bit.
     """
     if model_cfg.share_depth != 0:
         raise ValueError("the learning-rate grid is defined for the two-phase baseline")
     if not gen_rates or not pred_rates or not seeds:
         raise ValueError("rate and seed lists must be non-empty")
+    for name, values in (("gen_rates", gen_rates), ("pred_rates", pred_rates), ("seeds", seeds)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} repeats a value: {list(values)}")
     if splits.annotation is None:
         raise ValueError("an annotation split is required to score grid cells")
     if base_cfg.epochs < 1:

@@ -354,6 +354,20 @@ class TestGridCommand:
                          "--pred-rates", "1e-3", "--seeds", "0,one"]) == 2
         assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--gen-rates", "1e-3,0.001"),
+        ("--pred-rates", "1e-3,0.0010000001"),  # both name cell directories p0.001
+        ("--seeds", "0,0"),
+    ], ids=["gen-rates", "pred-rates-by-cell-name", "seeds"])
+    def test_repeated_value_exits_2_before_writing(self, synth_cfg, tmp_path, capsys, flag,
+                                                   values):
+        lists = {"--gen-rates": "1e-3", "--pred-rates": "1e-3", "--seeds": "0", flag: values}
+        out = tmp_path / "grid"
+        argv = ["grid", "--config", str(synth_cfg), "--out", str(out), "--epochs", "1"]
+        assert cli.main(argv + [arg for item in lists.items() for arg in item]) == 2
+        assert f"{flag} repeats a value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_invalid_model_config_exits_2(self, synth_cfg, tmp_path, capsys):
@@ -392,6 +406,20 @@ class TestExitCodes:
     def test_rejected_config_writes_nothing(self, synth_cfg, tmp_path, argv):
         out = tmp_path / "bad"
         assert cli.main(argv + ["--config", str(synth_cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, line", [
+        (["train", "--seed", "-1"], ""),
+        (["skew", "--kind", "generator", "--k", "0.9", "--seed", "-1"], ""),
+        (["grid", "--gen-rates", "1e-3", "--pred-rates", "1e-3", "--seeds", "0,-2"], ""),
+        (["train"], "synth_seed = -1\n"),
+    ], ids=["train", "skew", "grid", "synth_seed"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv, line):
+        path = tmp_path / "seed.cfg"
+        path.write_text(TINY_SYNTH + line)
+        out = tmp_path / "bad"
+        assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_grid_config_sharing_encoder_exits_2(self, synth_cfg, tmp_path, capsys):

@@ -319,14 +319,6 @@ class TestBatching:
                         assert np.array_equal(batch.token_ids[row], padded)
         assert calls.count(vocab) == calls.count(other) == len(ds)
 
-    def test_gold_truncated_with_tokens(self):
-        ds = Dataset("annotation", (
-            Example("a", tuple("abcdef"), 1, gold_mask=(0, 0, 0, 0, 1, 1)),
-        ))
-        vocab = build_vocab(ds)
-        (batch,) = make_batches(ds, vocab, 1, max_len=4)
-        assert batch.gold.tolist() == [[0, 0, 0, 0]]
-
 
 # sha256 over every split's (id, tokens, label, gold mask), taken from the
 # generator as it stood before it drew from token arrays built once per call:

@@ -51,10 +51,8 @@ def _loop_prf(pred_masks, gold_masks):
     return p, r, f1
 
 
-def _loop_sparsity(pred_masks, lengths=None):
-    if lengths is None:
-        lengths = [len(m) for m in pred_masks]
-    return float(np.mean([float(np.sum(m)) / n for m, n in zip(pred_masks, lengths)]))
+def _loop_sparsity(pred_masks):
+    return float(np.mean([float(np.sum(m)) / len(m) for m in pred_masks]))
 
 
 # ragged 0/1 masks, each as a list, an int array or a bool array
@@ -70,12 +68,10 @@ class TestVectorisedScoresEqualLoop:
         gold = [g[: min(len(p), len(g))] for p, g in pairs]
         assert token_prf(pred, gold) == _loop_prf(pred, gold)  # float ==: bit for bit
 
-    @given(st.lists(_mask, min_size=1, max_size=12), st.booleans(), st.data())
+    @given(st.lists(_mask, min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
-    def test_sparsity(self, masks, own_lengths, data):
-        lengths = None if own_lengths else [
-            data.draw(st.integers(1, len(m))) for m in masks]
-        assert sparsity(masks, lengths) == _loop_sparsity(masks, lengths)
+    def test_sparsity(self, masks):
+        assert sparsity(masks) == _loop_sparsity(masks)
 
     @given(st.lists(_mask, min_size=2, max_size=8), st.data())
     @settings(max_examples=50, deadline=None)
@@ -153,8 +149,16 @@ class TestSparsityAccuracy:
         more[zeros[0]] = 1
         assert sparsity([more]) > sparsity([mask])
 
-    def test_respects_true_lengths(self):
-        assert sparsity([[1, 0, 0, 0]], lengths=[2]) == 0.5
+    def test_respects_true_lengths(self, probe_world):
+        # evaluate_model's S divides each mask by its document's length, not
+        # by the padded batch width
+        cfg, splits, _, params = probe_world
+        ds = dat.Dataset("dev", tuple(
+            dat.Example(ex.id, ex.tokens[: 3 + i % 7], ex.label)
+            for i, ex in enumerate(splits.dev)))
+        run = evaluate_model(params, ds)
+        assert [len(m) for m in run.masks] == [len(ex) for ex in ds]
+        assert run.metrics.s == _loop_sparsity(run.masks)
 
     def test_accuracy_all_correct(self):
         logits = np.array([[0.2, 0.9], [1.4, -0.5]])
@@ -464,7 +468,7 @@ class TestBatchedProbes:
         for name, layers in views.items():
             want = [
                 mdl.encode(layers, params.embedding.value[params.vocab.encode(s)][None],
-                           np.ones((1, len(s))))[0]
+                           np.ones((1, len(s))))[0][0]
                 for s in sentences
             ]
             _close_rows([r["states"] for r in report.representations[name]], want)
@@ -527,11 +531,38 @@ class TestEvaluateModel:
     def test_metrics_shape_and_agreement(self, probe_world):
         _, splits, _, params = probe_world
         run = evaluate_model(params, splits.annotation)
-        assert len(run.ids) == len(splits.annotation)
+        assert run.ids == tuple(ex.id for ex in splits.annotation)
+        assert np.array_equal(run.labels, splits.annotation.labels)
         manual_acc = accuracy(run.logits, run.labels)
         assert run.metrics.acc == pytest.approx(manual_acc)
-        p, r, f1 = token_prf(run.masks, run.gold)
+        p, r, f1 = token_prf(run.masks, [ex.gold_mask for ex in splits.annotation])
         assert (run.metrics.p, run.metrics.r, run.metrics.f1) == pytest.approx((p, r, f1))
+
+    def test_truncated_annotation_equals_per_document_loop(self, probe_world):
+        """Documents past max_len (256) are scored on their kept prefix: the
+        masks and P/R/F1 equal a loop that evaluates each truncated document
+        on its own."""
+        cfg, _, vocab, params = probe_world
+        rng = np.random.default_rng(4)
+        words = list(vocab.id_to_token[2:])
+        examples = []
+        for i, n in enumerate([200, 257, 320, 256, 300, 230]):
+            gold = np.zeros(n, dtype=int)
+            gold[rng.integers(0, n, size=n // 3)] = 1
+            gold[-5:] = 1  # past the prefix for the documents longer than 256
+            examples.append(dat.Example(f"a{i}", tuple(rng.choice(words, size=n)), i % 2,
+                                        gold_mask=tuple(gold)))
+        run = evaluate_model(params, dat.Dataset("annotation", tuple(examples)))
+        masks, golds = [], []
+        for ex in examples:
+            kept = dat.Example(ex.id, ex.tokens[:256], ex.label, gold_mask=ex.gold_mask[:256])
+            (batch,) = dat.make_batches(dat.Dataset("annotation", (kept,)), vocab, 1)
+            masks.append(mdl.forward(params, batch, mode="eval").mask.hard_mask[0].astype(int))
+            golds.append(kept.gold_mask)
+        assert [m.tolist() for m in run.masks] == [m.tolist() for m in masks]
+        assert (run.metrics.p, run.metrics.r, run.metrics.f1) == token_prf(masks, golds)
+        # the cut drops gold tokens, so scoring whole gold masks could not agree
+        assert sum(map(sum, golds)) < sum(sum(ex.gold_mask) for ex in examples)
 
     def test_metrics_json_unrounded(self):
         # unrounded, so a value read back from final.json equals the computed one

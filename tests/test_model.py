@@ -22,7 +22,6 @@ from rationalift.model import (
     build_model,
     encode,
     forward,
-    generator_probs,
     load_checkpoint,
     loss_and_grads,
     param_count,
@@ -151,7 +150,7 @@ class TestEncode:
         _, _, vocab = tiny_world
         cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
         params = build_model(cfg, vocab, seed=0)
-        states = encode(params.gen_layers, np.zeros((1, 1, 4)), np.ones((1, 1)))
+        states, _ = encode(params.gen_layers, np.zeros((1, 1, 4)), np.ones((1, 1)))
         assert states.shape == (1, 1, 6)
 
     def test_batch_order_irrelevant(self, tiny_world):
@@ -160,9 +159,9 @@ class TestEncode:
         params = build_model(cfg, vocab, seed=0)
         batch = _tiny_batch(splits, vocab)
         emb = params.embedding.value[batch.token_ids]
-        states = encode(params.gen_layers, emb, batch.pad_mask)
+        states, _ = encode(params.gen_layers, emb, batch.pad_mask)
         perm = np.array([3, 1, 5, 0, 2, 4])
-        states_perm = encode(params.gen_layers, emb[perm], batch.pad_mask[perm])
+        states_perm, _ = encode(params.gen_layers, emb[perm], batch.pad_mask[perm])
         assert np.allclose(states[perm], states_perm, atol=1e-12)
 
     def test_zero_input_fixed_point_at_init(self, tiny_world):
@@ -171,7 +170,7 @@ class TestEncode:
         _, _, vocab = tiny_world
         cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
         params = build_model(cfg, vocab, seed=4)
-        states = encode(params.gen_layers, np.zeros((1, 2, 4)), np.ones((1, 2)))
+        states, _ = encode(params.gen_layers, np.zeros((1, 2, 4)), np.ones((1, 2)))
         fwd = states[0, :, :3]
         assert np.allclose(fwd[0], fwd[1], atol=1e-14)
 
@@ -183,7 +182,7 @@ class TestEncode:
         pad_mask = batch.pad_mask.copy()
         pad_mask[:, -2:] = 0.0
         emb = params.embedding.value[batch.token_ids] * pad_mask[:, :, None]
-        states = encode(params.gen_layers, emb, pad_mask)
+        states, _ = encode(params.gen_layers, emb, pad_mask)
         assert np.all(states[:, -2:, :] == 0.0)
 
 
@@ -271,7 +270,8 @@ def _stack_pass(params, batch, dstates):
     params.zero_grads()
     emb = params.embedding.value[batch.token_ids]
     states, caches = encode(params.gen_layers, emb, batch.pad_mask, with_cache=True)
-    plain = encode(params.gen_layers, emb, batch.pad_mask)
+    plain, no_caches = encode(params.gen_layers, emb, batch.pad_mask)
+    assert no_caches is None
     dx = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask)
     grads = [p.grad.copy() for layer in params.gen_layers for p in layer.parameters()]
     return [states, plain, dx, *grads]
@@ -373,6 +373,8 @@ class TestThreadedDirections:
 
 
 class TestGeneratorProbs:
+    """The generator's selection probabilities are the eval-mode soft mask."""
+
     def test_zero_head_gives_half(self, tiny_world):
         _, splits, vocab = tiny_world
         cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
@@ -380,29 +382,29 @@ class TestGeneratorProbs:
         params.gen_head.W.value[...] = 0.0
         params.gen_head.b.value[...] = 0.0
         batch = _tiny_batch(splits, vocab)
-        states = encode(params.gen_layers, params.embedding.value[batch.token_ids],
-                        batch.pad_mask)
-        probs = generator_probs(params, states, batch.pad_mask)
-        assert np.allclose(probs[batch.pad_mask > 0], 0.5)
+        probs = forward(params, batch, mode="eval").mask.soft_mask
+        assert np.all(probs[batch.pad_mask > 0] == 0.5)
 
     def test_pad_positions_forced_zero(self, tiny_world):
         _, splits, vocab = tiny_world
-        cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
-        params = build_model(cfg, vocab, seed=0)
-        batch = _tiny_batch(splits, vocab)
-        pad_mask = batch.pad_mask.copy()
-        pad_mask[:, -1] = 0.0
-        states = encode(params.gen_layers, params.embedding.value[batch.token_ids], pad_mask)
-        probs = generator_probs(params, states, pad_mask)
-        assert np.all(probs[:, -1] == 0.0)
+        params = build_model(ModelConfig(embedding_dim=4, hidden_dim=6), vocab, seed=0)
+        batch = _padded_batch(splits, vocab)
+        probs = forward(params, batch, mode="eval").mask.soft_mask
+        assert (batch.pad_mask == 0).any()
+        assert np.all(probs[batch.pad_mask == 0] == 0.0)
+        assert np.all(probs[batch.pad_mask > 0] > 0.0)
 
     def test_identical_states_identical_probs(self, tiny_world):
-        _, _, vocab = tiny_world
-        cfg = ModelConfig(embedding_dim=4, hidden_dim=6)
-        params = build_model(cfg, vocab, seed=0)
-        state = np.tile(np.linspace(-1, 1, 6), (1, 3, 1))
-        probs = generator_probs(params, state, np.ones((1, 3)))
-        assert probs[0, 0] == probs[0, 1] == probs[0, 2]
+        # a document repeated across rows encodes to the same states, row by row
+        _, splits, vocab = tiny_world
+        params = build_model(ModelConfig(embedding_dim=4, hidden_dim=6), vocab, seed=0)
+        full = _tiny_batch(splits, vocab)
+        rows = np.zeros(3, dtype=int)
+        batch = Batch(ids=("a", "b", "c"), token_ids=full.token_ids[rows],
+                      pad_mask=full.pad_mask[rows], lengths=full.lengths[rows],
+                      labels=full.labels[rows])
+        probs = forward(params, batch, mode="eval").mask.soft_mask
+        assert np.array_equal(probs[0], probs[1]) and np.array_equal(probs[0], probs[2])
 
 
 class TestSampleMask:
@@ -548,8 +550,8 @@ class TestForward:
         params = build_model(cfg, vocab, seed=1)
         batch = _tiny_batch(splits, vocab)
         emb = params.embedding.value[batch.token_ids]
-        gen_states = encode(params.gen_layers, emb, batch.pad_mask)
-        pred_states = encode(params.pred_layers, emb, batch.pad_mask)
+        gen_states, _ = encode(params.gen_layers, emb, batch.pad_mask)
+        pred_states, _ = encode(params.pred_layers, emb, batch.pad_mask)
         assert np.array_equal(gen_states, pred_states)
 
     def test_numpy_integer_noise(self, tiny_world):

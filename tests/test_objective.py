@@ -5,18 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rationalift import data as dat
+from rationalift import model as mdl
 from rationalift.objective import (
     ObjectiveConfig,
-    coherence_block_count,
     cross_entropy,
     cross_entropy_grad,
     softmax,
     sparsity_coherence,
     sparsity_coherence_grad,
-    total_loss,
 )
 
 CFG_UNIT = ObjectiveConfig(lambda1=1.0, lambda2=1.0, alpha=0.5)
+
+
+def coherence_block_count(mask: np.ndarray) -> int:
+    """Selected contiguous blocks in a binary mask (oracle for the transition sum)."""
+    padded = np.concatenate([[0], np.asarray(mask).astype(int), [0]])
+    return int(np.sum((padded[1:] - padded[:-1]) == 1))
 
 
 class TestCrossEntropy:
@@ -142,12 +148,32 @@ class TestSparsityCoherence:
         assert np.allclose(grad, 0.0)
 
 
-class TestTotalLoss:
-    def test_sum(self):
-        assert total_loss(0.6931, 3.0) == pytest.approx(3.6931)
+@pytest.fixture(scope="module")
+def tiny_model_batch():
+    splits = dat.synth_generate(dat.SynthConfig(
+        vocab_size=30, doc_length=7, span_length=2, seed=3, train_size=6, dev_size=2,
+        annotation_size=2, informative_per_class=3, marker_count=1))
+    vocab = dat.build_vocab(splits.train)
+    params = mdl.build_model(mdl.ModelConfig(embedding_dim=4, hidden_dim=6), vocab, seed=0)
+    return params, dat.make_batches(splits.train, vocab, batch_size=6)[0]
 
-    def test_zero_omega_reduces_to_ce(self):
-        assert total_loss(1.25, 0.0) == 1.25
+
+class TestTotalLoss:
+    """`loss_and_grads` reports total = ce + omega of its own forward pass."""
+
+    def test_sum(self, tiny_model_batch):
+        params, batch = tiny_model_batch
+        loss = mdl.loss_and_grads(params, batch, CFG_UNIT, noise=5)
+        out = mdl.forward(params, batch, mode="train", noise=5)
+        assert loss.ce == cross_entropy(out.logits, batch.labels)
+        assert loss.omega == sparsity_coherence(out.mask.hard_mask, batch.lengths, CFG_UNIT)
+        assert loss.total == loss.ce + loss.omega
+
+    def test_zero_omega_reduces_to_ce(self, tiny_model_batch):
+        params, batch = tiny_model_batch
+        no_regularizer = ObjectiveConfig(lambda1=0.0, lambda2=0.0, alpha=0.5)
+        loss = mdl.loss_and_grads(params, batch, no_regularizer, noise=5)
+        assert loss.omega == 0.0 and loss.total == loss.ce
 
     def test_gradient_linearity(self):
         # d(total)/dmask = d(omega)/dmask since ce does not touch the mask,
@@ -162,10 +188,10 @@ class TestTotalLoss:
         eps = 1e-7
         up = mask.copy()
         up[0, 2] += eps
-        total_up = total_loss(ce, sparsity_coherence(up, lengths, CFG_UNIT))
+        total_up = ce + sparsity_coherence(up, lengths, CFG_UNIT)
         dn = mask.copy()
         dn[0, 2] -= eps
-        total_dn = total_loss(ce, sparsity_coherence(dn, lengths, CFG_UNIT))
+        total_dn = ce + sparsity_coherence(dn, lengths, CFG_UNIT)
         assert dmask[0, 2] == pytest.approx((total_up - total_dn) / (2 * eps), rel=1e-4)
 
 

@@ -32,7 +32,8 @@ def test_configs_and_demos_present():
 def test_config_parses_and_builds(path):
     assert cli.read_config_file(path)
     # the skew preset's usage line passes --kind generator --k 0.9
-    cfg = cli.resolve_config(argparse.Namespace(config=str(path), kind="generator", k=0.9))
+    cfg = cli.resolve_config(argparse.Namespace(config=str(path), skew_kind="generator",
+                                                skew_k=0.9))
     cli._model_config(cfg)
     cli._train_config(cfg)
     cli._config(data.SynthConfig, cfg, "synth_")
@@ -105,6 +106,44 @@ def test_benchmark_trace_sites_exist(monkeypatch):
     assert not missing
     layer = model.BiGRULayer("probe", 4, 3, np.random.default_rng(0))
     assert (layer.fw.hidden, layer.input_dim) == (3, 4)
+
+
+LIBRARY_MODULES = {"cli": cli, "data": data, "evaluation": evaluation, "model": model,
+                   "objective": objective, "training": training}
+
+
+def _module_attributes(path: Path):
+    """(module, name) for every `<module>.<name>` read in `path` whose
+    `<module>` is one of LIBRARY_MODULES."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in LIBRARY_MODULES):
+            yield node.value.id, node.attr
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "harness.py"])
+def test_benchmark_library_names_exist(name):
+    """Every `<module>.<name>` the benchmark reads, and every name it imports
+    from rationalift, exists, so removing or renaming one fails here rather
+    than in a benchmark run.  perfbench/ is only read."""
+    path = ROOT / "perfbench" / name
+    for module_name, attr in _rationalift_imports(path):
+        module = importlib.import_module(module_name)
+        assert attr is None or hasattr(module, attr), f"{name}: {module_name} has no {attr!r}"
+    missing = sorted({f"{mod}.{attr}" for mod, attr in _module_attributes(path)
+                      if not hasattr(LIBRARY_MODULES[mod], attr)})
+    assert not missing, f"{name} reads names the library lacks: {missing}"
+
+
+def test_readme_library_tour_imports_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = [alias.name for node in ast.walk(ast.parse(tour))
+             if isinstance(node, ast.ImportFrom) and node.module == "rationalift"
+             for alias in node.names]
+    assert names
+    assert [n for n in names if not hasattr(rationalift, n)] == []
 
 
 def test_import_is_lean():

@@ -336,6 +336,14 @@ class TestSkewPretraining:
         with pytest.raises(ValueError, match="finite"):
             make(rate)
 
+    @pytest.mark.parametrize("make", [
+        lambda: TrainConfig(seed=-1),
+        lambda: SkewConfig(mode="skewed_predictor", k=1, seed=-1),
+    ], ids=["train", "skew"])
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            make()
+
     @pytest.mark.parametrize("pretrain, skew, head", [
         (pretrain_skewed_predictor, SkewConfig(mode="skewed_predictor", k=1), "pred_head"),
         (pretrain_skewed_generator, SkewConfig(mode="skewed_generator", k=0.9), "gen_head"),
@@ -397,6 +405,20 @@ class TestLrGrid:
         with pytest.raises(ValueError, match="at least one epoch"):
             lr_grid(GRID_MODEL, vocab, splits, replace(GRID_TRAIN, epochs=0), [1e-3], [1e-3],
                     [0])
+
+
+    @pytest.mark.parametrize("rates, seeds, name", [
+        (([1e-3, 0.001], [1e-3]), [0], "gen_rates"),
+        (([1e-3], [2e-3, 1e-3, 2e-3]), [0], "pred_rates"),
+        (([1e-3], [1e-3]), [0, 1, 0], "seeds"),
+    ], ids=["gen_rates", "pred_rates", "seeds"])
+    def test_repeated_value_rejected_before_any_cell(self, small_world, monkeypatch, rates,
+                                                     seeds, name):
+        # two cells of one (rates, seed) would train the same run twice
+        _, splits, vocab = small_world
+        monkeypatch.setattr(mdl, "build_model", lambda *a, **k: pytest.fail("cell built"))
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            lr_grid(GRID_MODEL, vocab, splits, GRID_TRAIN, *rates, seeds)
 
 
 def _fake_cpus(monkeypatch, n):
@@ -636,10 +658,9 @@ class TestOverlappedEvaluation:
         run = history[idx].final_run
         fresh = evaluation.evaluate_model(best, splits.dev if dev_only else splits.annotation)
         assert run.metrics == fresh.metrics and run.ids == fresh.ids
-        for got, want in ((run.masks, fresh.masks), (run.gold, fresh.gold),
+        for got, want in ((run.masks, fresh.masks),
                           ([run.logits, run.labels], [fresh.logits, fresh.labels])):
-            assert (got is None) == (want is None)
-            for a, b in zip(got or [], want or []):
+            for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         assert "final_run" not in history[idx].to_json_dict()
 
