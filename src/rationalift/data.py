@@ -17,7 +17,7 @@ import math
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -64,14 +64,16 @@ class Example:
         if self.label not in (0, 1):
             raise CorpusError(f"example {self.id}: label must be 0 or 1, got {self.label}")
         if self.gold_mask is not None:
-            object.__setattr__(self, "gold_mask", tuple(int(m) for m in self.gold_mask))
-            if len(self.gold_mask) != len(self.tokens):
+            gold = tuple(self.gold_mask)
+            if len(gold) != len(self.tokens):
                 raise CorpusError(
-                    f"example {self.id}: gold mask length {len(self.gold_mask)} "
+                    f"example {self.id}: gold mask length {len(gold)} "
                     f"!= token count {len(self.tokens)}"
                 )
-            if any(m not in (0, 1) for m in self.gold_mask):
+            # checked before the conversion, which would truncate 0.5 to 0
+            if not set(gold) <= {0, 1}:
                 raise CorpusError(f"example {self.id}: gold mask entries must be 0/1")
+            object.__setattr__(self, "gold_mask", tuple(map(int, gold)))
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import html as html_mod
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -476,9 +475,9 @@ def uninformative_rationale_probe(
     )
 
 
-def render_probe_html(report: ProbeReport, dims: int = 40) -> str:
+def render_probe_html(report: ProbeReport) -> str:
     """Self-contained HTML report; lemma3 reports draw per-dimension bars for
-    the first `dims` dimensions of each token representation."""
+    the first 40 dimensions of each token representation."""
     parts = [
         "<html><head><style>",
         "body{font-family:sans-serif;} .bar{display:inline-block;width:4px;margin-right:1px;"
@@ -494,7 +493,7 @@ def render_probe_html(report: ProbeReport, dims: int = 40) -> str:
             for sent in sentences:
                 parts.append(f"<h3>{html_mod.escape(' '.join(sent['tokens']))}</h3>")
                 for tok, state in zip(sent["tokens"], sent["states"]):
-                    vals = np.asarray(state[:dims])
+                    vals = np.asarray(state[:40])
                     scale = np.abs(vals).max() or 1.0
                     bars = "".join(
                         f'<span class="bar" style="height:{max(1, int(24 * abs(v) / scale))}px;'

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -505,14 +505,15 @@ def _noise_source(noise) -> Optional[np.random.Generator]:
 
 
 def _sample(
-    probs: np.ndarray,
+    probs: Optional[np.ndarray],
     logits: Optional[np.ndarray],
     temperature: float,
     mode: str,
     rng: Optional[np.random.Generator],
     pad_mask: Optional[np.ndarray],
 ) -> MaskSample:
-    """Draw a mask from `probs`; train mode perturbs `logits`, eval thresholds `probs`."""
+    """Draw a mask: train mode perturbs `logits` (`probs` is not read), eval
+    thresholds `probs`."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if mode == "train":
@@ -579,15 +580,23 @@ def pool_max(states: np.ndarray, pad_mask: np.ndarray, with_cache: bool = False)
 
 
 def _pool_max_backward(cache: dict, dpooled: np.ndarray) -> np.ndarray:
-    B, L, H = cache["shape"]
-    dstates = np.zeros((B, L, H))
-    contrib = dpooled.copy()
+    """Each (row, unit) gradient goes to the first argmax; rows without a real
+    token get none.  Adding +0.0 stores a -0.0 gradient as +0.0."""
+    dstates = np.zeros(cache["shape"])
+    contrib = dpooled + 0.0
     contrib[cache["empty"]] = 0.0
-    bidx = np.repeat(np.arange(B), H)
-    hidx = np.tile(np.arange(H), B)
-    tidx = cache["argmax"].reshape(-1)
-    np.add.at(dstates, (bidx, tidx, hidx), contrib.reshape(-1))
+    np.put_along_axis(dstates, cache["argmax"][:, None, :], contrib[:, None, :], axis=1)
     return dstates
+
+
+def _generator(params: ModelParams, token_ids: np.ndarray, pad_mask: np.ndarray,
+               with_cache: bool):
+    """The generator view: embed, encode, score each token.  Returns the
+    embedded tokens, the (B, L) selection logits, the states and, with
+    `with_cache`, the encoder caches for `_encode_backward` (else None)."""
+    embedded = params.embedding.value[token_ids]
+    states, caches = encode(params.gen_layers, embedded, pad_mask, with_cache)
+    return embedded, params.gen_head.forward(states)[..., 0], states, caches
 
 
 def _predictor(params: ModelParams, masked_embedded: np.ndarray, pad_mask: np.ndarray,
@@ -635,21 +644,19 @@ def forward(
     mask_forward: str = "hard",
     with_cache: bool = False,
 ) -> ForwardResult:
-    """Full pipeline: embed, encode (generator view), sample a mask, re-embed
-    and mask the original tokens, then the predictor view (`_predictor`).
+    """Full pipeline: the generator view (`_generator`), a mask sample, the
+    original tokens' embeddings masked, then the predictor view (`_predictor`).
 
     `mask_forward` = "soft" consumes the relaxed mask downstream, which makes
     the loss differentiable end-to-end for gradient checking.
     """
     if mask_forward not in ("hard", "soft"):
         raise ValueError("mask_forward must be 'hard' or 'soft'")
-    emb_full = params.embedding.value[batch.token_ids]
-    gen_states, gen_caches = encode(params.gen_layers, emb_full, batch.pad_mask, with_cache)
-    gen_logits = params.gen_head.forward(gen_states)[..., 0]
-    sample = _sample(
-        sigmoid(gen_logits), gen_logits, params.config.temperature, mode,
-        _noise_source(noise), batch.pad_mask,
-    )
+    emb_full, gen_logits, gen_states, gen_caches = _generator(params, batch.token_ids,
+                                                               batch.pad_mask, with_cache)
+    probs = sigmoid(gen_logits) if mode == "eval" else None
+    sample = _sample(probs, gen_logits, params.config.temperature, mode, _noise_source(noise),
+                     batch.pad_mask)
     mask_values = sample.hard_mask if mask_forward == "hard" else sample.soft_mask
     logits, pred_cache = _predictor(
         params, apply_mask(emb_full, mask_values), batch.pad_mask, with_cache

@@ -40,9 +40,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-softmax probability of the true class."""
-    logp = log_softmax(np.asarray(logits, dtype=np.float64))
-    rows = np.arange(len(labels))
-    return float(-logp[rows, labels].mean())
+    return cross_entropy_grad(logits, labels)[0]
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -57,31 +55,9 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
     return loss, grad
 
 
-def _per_example_omega(
-    mask: np.ndarray, lengths: np.ndarray, cfg: ObjectiveConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-example sparsity and coherence terms plus the position mask used."""
-    mask = np.asarray(mask, dtype=np.float64)
-    batch, width = mask.shape
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if np.any(lengths <= 0):
-        raise ValueError("every example must have positive length")
-    if np.any(lengths > width):
-        raise ValueError("length exceeds mask width")
-    valid = np.arange(width)[None, :] < lengths[:, None]
-    sel = np.where(valid, mask, 0.0)
-    sparsity_term = np.abs(sel.sum(axis=1) / lengths - cfg.alpha)
-    # transitions t=2..l only: both neighbours must be real tokens
-    pair_valid = valid[:, 1:] & valid[:, :-1]
-    diffs = np.abs(np.where(pair_valid, mask[:, 1:] - mask[:, :-1], 0.0))
-    coherence_term = diffs.sum(axis=1)
-    return sparsity_term, coherence_term, valid
-
-
 def sparsity_coherence(mask: np.ndarray, lengths: np.ndarray, cfg: ObjectiveConfig) -> float:
     """Batch-mean Omega; PAD positions (beyond each length) are ignored."""
-    sparsity_term, coherence_term, _ = _per_example_omega(mask, lengths, cfg)
-    return float((cfg.lambda1 * sparsity_term + cfg.lambda2 * coherence_term).mean())
+    return sparsity_coherence_grad(mask, lengths, cfg)[0]
 
 
 def sparsity_coherence_grad(
@@ -93,19 +69,22 @@ def sparsity_coherence_grad(
     gradient is deterministic everywhere.
     """
     mask = np.asarray(mask, dtype=np.float64)
+    batch, width = mask.shape
     lengths = np.asarray(lengths, dtype=np.int64)
-    sparsity_term, coherence_term, valid = _per_example_omega(mask, lengths, cfg)
-    omega = float((cfg.lambda1 * sparsity_term + cfg.lambda2 * coherence_term).mean())
-
-    batch = mask.shape[0]
-    sel = np.where(valid, mask, 0.0)
-    sparsity_sign = np.sign(sel.sum(axis=1) / lengths - cfg.alpha)
-    grad = (cfg.lambda1 * sparsity_sign / lengths)[:, None] * valid
-
+    if np.any(lengths <= 0):
+        raise ValueError("every example must have positive length")
+    if np.any(lengths > width):
+        raise ValueError("length exceeds mask width")
+    valid = np.arange(width)[None, :] < lengths[:, None]
+    excess = np.where(valid, mask, 0.0).sum(axis=1) / lengths - cfg.alpha
+    # transitions t=2..l only: both neighbours must be real tokens
     pair_valid = valid[:, 1:] & valid[:, :-1]
-    diff_sign = np.where(pair_valid, np.sign(mask[:, 1:] - mask[:, :-1]), 0.0)
-    grad[:, 1:] += cfg.lambda2 * diff_sign
-    grad[:, :-1] -= cfg.lambda2 * diff_sign
+    diffs = np.where(pair_valid, mask[:, 1:] - mask[:, :-1], 0.0)
+    omega = float((cfg.lambda1 * np.abs(excess) + cfg.lambda2 * np.abs(diffs).sum(axis=1)).mean())
+
+    grad = (cfg.lambda1 * np.sign(excess) / lengths)[:, None] * valid
+    diff_grad = cfg.lambda2 * np.sign(diffs)
+    grad[:, 1:] += diff_grad
+    grad[:, :-1] -= diff_grad
     grad /= batch
     return omega, grad
-

@@ -111,16 +111,10 @@ TrainHistory = list[EpochRecord]
 
 
 class Adam:
-    """Adaptive-moment optimizer over disjoint parameter groups."""
+    """Adaptive-moment optimizer over disjoint parameter groups, with betas
+    (0.9, 0.999) and eps 1e-8."""
 
-    def __init__(
-        self,
-        groups: Sequence[tuple[Sequence[mdl.Parameter], float]],
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
-        self.betas = betas
-        self.eps = eps
+    def __init__(self, groups: Sequence[tuple[Sequence[mdl.Parameter], float]]):
         self.t = 0
         self._entries: list[dict] = []
         seen: set[int] = set()
@@ -142,7 +136,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for e in self._entries:
@@ -151,7 +145,7 @@ class Adam:
             e["m"] += (1.0 - b1) * g
             e["v"] *= b2
             e["v"] += (1.0 - b2) * g * g
-            update = (e["m"] / c1) / (np.sqrt(e["v"] / c2) + self.eps)
+            update = (e["m"] / c1) / (np.sqrt(e["v"] / c2) + 1e-8)
             e["p"].value -= e["lr"] * update
 
 
@@ -379,22 +373,13 @@ def pretrain_skewed_predictor(
     return params
 
 
-def _first_token_probs(
-    params: mdl.ModelParams, batch, with_cache: bool = False
-) -> tuple[np.ndarray, np.ndarray, Optional[list]]:
-    """The generator's selection probability of each document's first token,
-    read as P(label = 1), with the generator states and (with `with_cache`)
-    caches behind it."""
-    emb = params.embedding.value[batch.token_ids]
-    states, caches = mdl.encode(params.gen_layers, emb, batch.pad_mask, with_cache)
-    p0 = mdl.sigmoid(params.gen_head.forward(states)[..., 0][:, 0])
-    return p0, states, caches
-
-
 def _first_token_accuracy(params: mdl.ModelParams, dataset: Dataset, batch_size: int) -> float:
+    """Accuracy of the generator's first-token selection probability read as
+    P(label = 1)."""
     correct = total = 0
     for batch in make_batches(dataset, params.vocab, batch_size, shuffle=False):
-        p0, _, _ = _first_token_probs(params, batch)
+        _, logits, _, _ = mdl._generator(params, batch.token_ids, batch.pad_mask, False)
+        p0 = mdl.sigmoid(logits[:, 0])
         correct += int(np.sum((p0 > 0.5).astype(int) == batch.labels))
         total += len(batch)
     return correct / total
@@ -415,8 +400,8 @@ def pretrain_skewed_generator(
     optimizer = Adam([(parts["generator"] + parts["shared"], skew.lr)])
 
     def step(batch, epoch: int) -> None:
-        p0, states, caches = _first_token_probs(params, batch, with_cache=True)
-        da0 = (p0 - batch.labels) / len(batch)  # sigmoid + BCE
+        _, logits, states, caches = mdl._generator(params, batch.token_ids, batch.pad_mask, True)
+        da0 = (mdl.sigmoid(logits[:, 0]) - batch.labels) / len(batch)  # sigmoid + BCE
         dstates = np.zeros_like(states)
         dstates[:, :1] = mdl._gen_head_backward(params, states[:, :1], da0[:, None])
         demb = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask)
@@ -567,20 +552,22 @@ def lr_grid(
         raise ValueError("an annotation split is required to score grid cells")
     if base_cfg.epochs < 1:
         raise ValueError(f"a grid cell trains at least one epoch, got epochs={base_cfg.epochs}")
-    jobs = [(i, j, seed) for i in range(len(gen_rates)) for j in range(len(pred_rates))
+    # every cell's config is checked here, before any cell trains
+    jobs = [(i, j, replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed))
+            for i, lg in enumerate(gen_rates) for j, lp in enumerate(pred_rates)
             for seed in seeds]
 
-    def score(job: tuple[int, int, int]) -> float:
-        i, j, seed = job
-        lg, lp = gen_rates[i], pred_rates[j]
-        params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=seed)
-        f1 = run_cell(params, splits, replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed))
-        logger.info("grid cell lr_gen=%g lr_pred=%g seed=%d F1=%.4f", lg, lp, seed, f1)
+    def score(job: tuple[int, int, TrainConfig]) -> float:
+        _, _, cfg = job
+        params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=cfg.seed)
+        f1 = run_cell(params, splits, cfg)
+        logger.info("grid cell lr_gen=%g lr_pred=%g seed=%d F1=%.4f",
+                    cfg.lr_gen, cfg.lr_pred, cfg.seed, f1)
         return f1
 
     cells: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for (i, j, seed), f1 in zip(jobs, _map_forked(score, jobs, "grid worker")):
-        cells.setdefault((i, j), []).append((seed, f1))
+    for (i, j, cfg), f1 in zip(jobs, _map_forked(score, jobs, "grid worker")):
+        cells.setdefault((i, j), []).append((cfg.seed, f1))
     median = np.zeros((len(gen_rates), len(pred_rates)))
     for (i, j), scores in cells.items():
         median[i, j] = float(np.median([f for _, f in scores]))

@@ -41,6 +41,16 @@ class TestExample:
         with pytest.raises(CorpusError, match="gold mask length"):
             Example(id="x", tokens=("a", "b"), label=0, gold_mask=(1,))
 
+    @pytest.mark.parametrize("gold", [(0.5, 1), (1.9, 0), ("1", 0)])
+    def test_gold_mask_values_checked_before_conversion(self, gold):
+        with pytest.raises(CorpusError, match="0/1"):
+            Example(id="x", tokens=("a", "b"), label=0, gold_mask=gold)
+
+    @pytest.mark.parametrize("gold", [(True, 0), (1.0, 0)])
+    def test_gold_mask_accepts_binary_numbers(self, gold):
+        ex = Example(id="x", tokens=("a", "b"), label=0, gold_mask=gold)
+        assert ex.gold_mask == (1, 0) and all(type(m) is int for m in ex.gold_mask)
+
     def test_label_must_be_binary(self):
         with pytest.raises(CorpusError, match="label"):
             Example(id="x", tokens=("a",), label=2)

@@ -502,6 +502,26 @@ class TestPoolingAndPredict:
         pooled = pool_max(states, np.zeros((1, 4)))
         assert np.all(pooled == 0.0)
 
+    def test_backward_matches_loop_oracle(self):
+        # tied maxima send the gradient to the first argmax; a row without a
+        # real token gets none; -0.0 gradients land as +0.0
+        states = np.array([[[1.0, 2.0, 0.5], [1.0, 2.0, 0.7], [0.0, 2.0, 0.7]],
+                           [[3.0, 1.0, 2.0], [3.0, 4.0, 2.0], [9.0, 9.0, 9.0]],
+                           [[5.0, 6.0, 7.0], [5.0, 6.0, 7.0], [5.0, 6.0, 7.0]]])
+        pad_mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        dpooled = np.array([[-0.0, 1.5, -2.0], [0.25, -0.0, 3.0], [4.0, -1.0, -0.0]])
+        _, cache = pool_max(states, pad_mask, with_cache=True)
+        dstates = mdl._pool_max_backward(cache, dpooled)
+        oracle = np.zeros_like(states)
+        for b in range(states.shape[0]):
+            real = np.flatnonzero(pad_mask[b])
+            for h in range(states.shape[2]):
+                if len(real):
+                    t = real[np.argmax(states[b, real, h])]
+                    oracle[b, t, h] += dpooled[b, h]
+        assert np.array_equal(dstates, oracle)
+        assert not np.signbit(dstates[dstates == 0.0]).any()  # array_equal ignores zero signs
+
     def test_bag_of_words_pooling_is_order_invariant(self, tiny_world):
         # identity per-token encoder isolates the pooling contract
         _, splits, vocab = tiny_world

@@ -136,6 +136,24 @@ def test_benchmark_library_names_exist(name):
     assert not missing, f"{name} reads names the library lacks: {missing}"
 
 
+def test_src_has_no_unused_imports():
+    """Every name a library module imports is read in that module; the
+    `from __future__ import annotations` switch is not a name."""
+    unused = {}
+    for path in sorted((ROOT / "src" / "rationalift").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names = sorted(imported - read - {"annotations"})
+        if names:
+            unused[path.name] = names
+    assert unused == {}
+
+
 def test_readme_library_tour_imports_exist():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tour = readme.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]

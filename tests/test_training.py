@@ -420,6 +420,21 @@ class TestLrGrid:
         with pytest.raises(ValueError, match=f"{name} repeats a value"):
             lr_grid(GRID_MODEL, vocab, splits, GRID_TRAIN, *rates, seeds)
 
+    @pytest.mark.parametrize("rates, seeds, message", [
+        (([1e-3], [1e-3]), [0, -1], "seed must be >= 0"),
+        (([1e-3, 0.0], [1e-3]), [0], "learning rates must be positive"),
+    ], ids=["seed", "gen_rate"])
+    def test_bad_cell_config_rejected_before_any_cell(self, small_world, monkeypatch, rates,
+                                                      seeds, message):
+        # on one CPU every cell would run in the caller, the valid ones first
+        _, splits, vocab = small_world
+        monkeypatch.setattr(mdl, "_cpu_count", lambda: 1)
+        ran = []
+        with pytest.raises(ValueError, match=message):
+            lr_grid(GRID_MODEL, vocab, splits, GRID_TRAIN, *rates, seeds,
+                    run_cell=lambda params, splits, cfg: ran.append(cfg) or 0.0)
+        assert ran == []
+
 
 def _fake_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
