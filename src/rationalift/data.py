@@ -426,17 +426,8 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
 
 
 def _mask_to_spans(mask: Sequence[int]) -> list[list[int]]:
-    spans = []
-    start = None
-    for i, m in enumerate(mask):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            spans.append([start, i])
-            start = None
-    if start is not None:
-        spans.append([start, len(mask)])
-    return spans
+    """The [start, end) runs of 1s in a 0/1 mask: where it steps up, then down."""
+    return np.flatnonzero(np.diff([0, *mask, 0])).reshape(-1, 2).tolist()
 
 
 # ---------------------------------------------------------------------------

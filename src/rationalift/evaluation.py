@@ -4,7 +4,9 @@ representation probes that empirically exercise the shared-encoder claims."""
 from __future__ import annotations
 
 import html as html_mod
+import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -133,26 +135,34 @@ def evaluate_model(params: mdl.ModelParams, dataset: Dataset) -> EvalRun:
 _COMPOSITION_CLASSES = (CLASS_INFORMATIVE, CLASS_FILLER, CLASS_MARKER, CLASS_PUNCTUATION)
 
 
+def _check_class_rows(rows: Sequence[Sequence], token_class_rows: Sequence[Sequence[str]],
+                      what: str) -> None:
+    """One token class row per row, at least as long as it: a mask covers the
+    kept prefix of its document, so its class row may be longer."""
+    if len(rows) != len(token_class_rows):
+        raise ValueError(f"{len(rows)} {what}s but {len(token_class_rows)} token class rows")
+    for i, (row, classes) in enumerate(zip(rows, token_class_rows)):
+        if len(classes) < len(row):
+            raise ValueError(f"{what} {i} covers {len(row)} tokens but has {len(classes)} "
+                             "token classes")
+
+
 def selection_composition(
     masks: Sequence[Sequence[int]], token_class_rows: Sequence[Sequence[str]]
 ) -> dict[str, float]:
     """Fraction of all selected tokens falling in each token class (sums to 1)."""
-    counts = {c: 0 for c in _COMPOSITION_CLASSES}
-    total = 0
-    for mask, classes in zip(masks, token_class_rows):
-        for m, c in zip(mask, classes):
-            if m:
-                counts[c] = counts.get(c, 0) + 1
-                total += 1
-    if total == 0:
-        return {c: 0.0 for c in counts}
-    return {c: n / total for c, n in counts.items()}
+    _check_class_rows(masks, token_class_rows, "mask")
+    counts = Counter(c for mask, classes in zip(masks, token_class_rows)
+                     for m, c in zip(mask, classes) if m)
+    total = sum(counts.values())
+    return {c: counts[c] / total if total else 0.0 for c in (*_COMPOSITION_CLASSES, *counts)}
 
 
 def marker_inclusion_rate(
     masks: Sequence[Sequence[int]], token_class_rows: Sequence[Sequence[str]]
 ) -> float:
     """Fraction of marker-bearing documents whose selection includes a marker."""
+    _check_class_rows(masks, token_class_rows, "mask")
     hits = bearing = 0
     for mask, classes in zip(masks, token_class_rows):
         if CLASS_MARKER not in classes:
@@ -317,6 +327,7 @@ def lemma3_probe(
     """
     if token_class_rows is None:
         token_class_rows = [classify_tokens(s) for s in probe_sentences]
+    _check_class_rows(probe_sentences, token_class_rows, "sentence")
     id_rows = [_strict_encode(params, s) for s in probe_sentences]
     tables: dict = {}
     summary: dict = {}
@@ -442,20 +453,10 @@ def uninformative_rationale_probe(
             filler_outputs.append(out)
         else:
             informative_outputs[label].append(out)
-
-    def pairwise(outs: list[np.ndarray]) -> list[float]:
-        return [
-            float(np.linalg.norm(outs[i] - outs[j]))
-            for i in range(len(outs))
-            for j in range(i + 1, len(outs))
-        ]
-
-    filler_d = pairwise(filler_outputs)
-    cross_d = [
-        float(np.linalg.norm(a - b))
-        for a in informative_outputs[0]
-        for b in informative_outputs[1]
-    ]
+    filler_d = [float(np.linalg.norm(a - b))
+                for a, b in itertools.combinations(filler_outputs, 2)]
+    cross_d = [float(np.linalg.norm(a - b))
+               for a, b in itertools.product(informative_outputs[0], informative_outputs[1])]
     filler_pred = [int(np.argmax(o)) for o in filler_outputs]
     summary = {
         "filler_median_distance": float(np.median(filler_d)) if filler_d else None,

@@ -122,10 +122,23 @@ class GRUDirection:
         return [self.W, self.U, self.b_ih, self.b_hh]
 
 
-def _step_major(fw: np.ndarray, bw: np.ndarray) -> np.ndarray:
-    """Stack two (B, L, ...) arrays as (L, 2, B, ...): step s holds time s of
-    `fw` and time L-1-s of `bw`."""
-    return np.stack([np.swapaxes(fw, 0, 1), np.swapaxes(bw, 0, 1)[::-1]], axis=1)
+def _step_masks(pad_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps' (L, 2, B, 1) pad mask and its complement, where a step holds its state."""
+    mask = np.stack([pad_mask.T, pad_mask.T[::-1]], axis=1)[..., None]
+    return mask, 1.0 - mask
+
+
+def _step_views(pair: np.ndarray, d, buffer: Optional[np.ndarray] = None) -> list[np.ndarray]:
+    """Per-step views of `pair`, (2, B, L, ...) per direction, for the loops of direction
+    `d`; `_PAIR` views are built on `buffer` (default `pair`), where `pair` starts."""
+    L = pair.shape[2]
+    if d != _PAIR:
+        return [pair[d, :, L - 1 - s if d else s] for s in range(L)]
+    d_stride, b_stride, l_stride, *rest = pair.strides
+    shape = (2, pair.shape[1], *pair.shape[3:])
+    return [np.ndarray(shape, pair.dtype, pair if buffer is None else buffer, s * l_stride,
+                       (d_stride + (L - 1 - 2 * s) * l_stride, b_stride, *rest))
+            for s in range(L)]
 
 
 class BiGRULayer:
@@ -135,7 +148,8 @@ class BiGRULayer:
     L-1-s of `bw`.  Per-step arrays carry a leading direction axis, so each
     step's recurrent GEMMs are one batched matmul over the pair; on large
     steps the two directions run on two threads (`_run_directions`).  Padded
-    steps hold the previous state.
+    steps hold the previous state.  The gate cache is (2, B, L, 3H), as the
+    input GEMMs write and read it; the loops use per-step views of it.
     """
 
     def __init__(self, name: str, input_dim: int, direction_dim: int, rng: np.random.Generator):
@@ -153,28 +167,28 @@ class BiGRULayer:
         B, L, _ = x.shape
         H = self.fw.hidden
         x_flat = x.reshape(B * L, -1)
-        # input pre-activations per step; the loop overwrites them with r, z, n
-        gates = np.empty((L, 2, B, 3 * H))
+        # input pre-activations per direction; the loop overwrites them with r, z, n
+        gates = np.empty((2, B, L, 3 * H))
         U_T = np.stack([self.fw.U.value, self.bw.U.value]).transpose(0, 2, 1)
         b_hh = np.stack([self.fw.b_hh.value, self.bw.b_hh.value])[:, None, :]
-        mask = _step_major(pad_mask[:, :, None], pad_mask[:, :, None])
-        hold = 1.0 - mask
+        mask, hold = _step_masks(pad_mask)
         hs = np.zeros((L + 1, 2, B, H))  # hs[s] is the state entering step s
         pre_hn = np.empty((L, 2, B, H)) if with_cache else None
 
         def run(d) -> None:
             for k in (0, 1) if d == _PAIR else (d,):
                 direction = (self.fw, self.bw)[k]
-                pre_x = np.swapaxes((x_flat @ direction.W.value.T).reshape(B, L, 3 * H), 0, 1)
-                np.add(pre_x if k == 0 else pre_x[::-1], direction.b_ih.value, out=gates[:, k])
-                del pre_x  # freed before the step loop, through which each thread would hold one
-            _forward_steps(gates[:, d], hs[:, d], U_T[d], b_hh[d], mask[:, d], hold[:, d],
-                           None if pre_hn is None else pre_hn[:, d])
+                np.matmul(x_flat, direction.W.value.T, out=gates[k].reshape(B * L, 3 * H))
+                gates[k] += direction.b_ih.value
+            _forward_steps(_step_views(gates, d), hs[:, d], U_T[d], b_hh[d], mask[:, d],
+                           hold[:, d], None if pre_hn is None else pre_hn[:, d])
 
         _run_directions(run, B * H)
         out = np.empty((B, L, 2 * H))
-        np.multiply(np.swapaxes(hs[1:, 0], 0, 1), pad_mask[:, :, None], out=out[..., :H])
-        np.multiply(np.swapaxes(hs[:0:-1, 1], 0, 1), pad_mask[:, :, None], out=out[..., H:])
+        out_steps = out.reshape(B, L, 2, H).transpose(1, 2, 0, 3)  # (L, 2, B, H) view
+        out_steps[:, 0] = hs[1:, 0]
+        out_steps[:, 1] = hs[:0:-1, 1]
+        out *= pad_mask[:, :, None]
         if not with_cache:
             return out, None
         return out, {"x": x, "gates": gates, "hs": hs, "pre_hn": pre_hn}
@@ -183,48 +197,40 @@ class BiGRULayer:
         """Gradient with respect to the layer input; parameter gradients
         accumulate into `.grad`.
 
-        A cache serves one backward: the gate cache is overwritten with the
-        input-side gate gradients, and the cache is emptied on entry, so a
-        second call raises instead of reading gradients as gates.  The
-        gradients are copied to batch-major order and the gate cache is freed
-        before the input-gradient GEMMs run, one direction per thread on
-        large steps (`_run_directions`).
+        `dout` is consumed: its padded positions are zeroed in place (unless
+        it is not C-contiguous).  A cache serves one backward: its gates are
+        overwritten with the input-side gate gradients, which the input GEMMs
+        read in place, and it is emptied on entry, so a second call raises.
         """
         if not cache:
             raise RuntimeError("this cache has served a backward pass already; run forward again")
         x, gates, hs, pre_hn = (cache.pop(key) for key in ("x", "gates", "hs", "pre_hn"))
         B, L, _ = x.shape
         H = self.fw.hidden
-        dout = dout * pad_mask[:, :, None]
-        dout = _step_major(dout[:, :, :H], dout[:, :, H:])
-        mask = _step_major(pad_mask[:, :, None], pad_mask[:, :, None])
-        hold = 1.0 - mask
+        dout = np.ascontiguousarray(dout)
+        dout *= pad_mask[:, :, None]
+        dout_pair = dout.reshape(B, L, 2, H).transpose(2, 0, 1, 3)
+        mask, hold = _step_masks(pad_mask)
         U = np.stack([self.fw.U.value, self.bw.U.value])
         dU = np.zeros_like(U)
         db_hh = np.zeros((2, 3 * H))
         _run_directions(
-            lambda d: _backward_steps(gates[:, d], hs[:, d], pre_hn[:, d], dout[:, d], mask[:, d],
-                                      hold[:, d], U[d], dU[d], db_hh[d]),
+            lambda d: _backward_steps(_step_views(gates, d), hs[:, d], pre_hn[:, d],
+                                      _step_views(dout_pair, d, dout), mask[:, d], hold[:, d],
+                                      U[d], dU[d], db_hh[d]),
             B * H,
         )
-        del hs, pre_hn, dout  # free the per-step states before the input-gradient GEMMs
-        self.fw.U.grad += dU[0]
-        self.bw.U.grad += dU[1]
-        self.fw.b_hh.grad += db_hh[0]
-        self.bw.b_hh.grad += db_hh[1]
-        # the input-side gradients go back to batch-major order, and the
-        # step-major cache goes before the GEMMs, so that no thread holds both;
+        del hs, pre_hn  # free the per-step states before the input-gradient GEMMs
+        for k, direction in enumerate((self.fw, self.bw)):
+            direction.U.grad += dU[k]
+            direction.b_hh.grad += db_hh[k]
         # `dx` is allocated here, as memory a helper thread allocates stays in
         # its own malloc arena (12 MB more peak RSS at L=256, H=100, B=64)
-        dpre_x = [np.ascontiguousarray(np.swapaxes(gates[:, 0], 0, 1)),
-                  np.ascontiguousarray(np.swapaxes(gates[::-1, 1], 0, 1))]
-        del gates
         dx = np.empty((2,) + x.shape)
 
         def run(d) -> None:
             for k in (0, 1) if d == _PAIR else (d,):
-                _input_grads((self.fw, self.bw)[k], dpre_x[k], x, dx[k])
-                dpre_x[k] = None  # freed once its GEMMs are done
+                _input_grads((self.fw, self.bw)[k], gates[k], x, dx[k])
 
         _run_directions(run, B * H)
         return dx[0] + dx[1]
@@ -284,7 +290,7 @@ def _run_directions(run: Callable[[object], None], step_size: int) -> None:
 
 
 def _forward_steps(gates, hs, U_T, b_hh, mask, hold, pre_hn) -> None:
-    """The forward recurrence, in place: `gates` goes from input
+    """The forward recurrence, in place: per step, `gates[s]` goes from input
     pre-activations to r, z, n, `hs[s + 1]` gets the state after step s and
     `pre_hn[s]`, unless None, the recurrent n pre-activation."""
     H = hs.shape[-1]
@@ -301,10 +307,10 @@ def _forward_steps(gates, hs, U_T, b_hh, mask, hold, pre_hn) -> None:
 
 
 def _backward_steps(gates, hs, pre_hn, dout, mask, hold, U, dU, db_hh) -> None:
-    """The backward recurrence, in place: `gates` gets the input-side gate
-    gradients, and the recurrent gradients accumulate into `dU` and `db_hh`."""
+    """The backward recurrence, in place: per step, `gates[s]` gets the input-side
+    gate gradients, and the recurrent gradients accumulate into `dU` and `db_hh`."""
     H = hs.shape[-1]
-    dpre_h = np.empty(gates.shape[1:])
+    dpre_h = np.empty(gates[0].shape)
     dh = np.zeros(hs.shape[1:])
     for s in range(len(gates) - 1, -1, -1):
         dh = dh + dout[s]
@@ -330,8 +336,8 @@ def _backward_steps(gates, hs, pre_hn, dout, mask, hold, U, dU, db_hh) -> None:
 def _input_grads(direction: GRUDirection, dpre_x: np.ndarray, x: np.ndarray,
                  dx: np.ndarray) -> None:
     """Accumulate W and b_ih gradients from the contiguous (B, L, 3H)
-    input-side gate gradients and write the gradient with respect to x into
-    the contiguous `dx`, shaped like x."""
+    input-side gate gradients, read in place, and write the gradient with
+    respect to x into the contiguous `dx`, shaped like x."""
     B, L, G = dpre_x.shape
     flat = dpre_x.reshape(B * L, G)
     direction.W.grad += flat.T @ x.reshape(B * L, -1)
@@ -568,15 +574,17 @@ def apply_mask(embedded: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def pool_max(states: np.ndarray, pad_mask: np.ndarray, with_cache: bool = False):
-    """Coordinate-wise max over real-token positions; zero vector if none."""
-    masked = np.where(pad_mask[:, :, None] > 0, states, -np.inf)
-    pooled = masked.max(axis=1)
+    """Coordinate-wise max over real-token positions; zero vector if none.
+    Overwrites the padded positions of `states` with -inf.  The cached argmax
+    is each unit's first maximum, or first NaN, as `np.argmax` would give."""
+    np.copyto(states, -np.inf, where=~(pad_mask[:, :, None] > 0))
+    pooled = states.max(axis=1)
     empty = pad_mask.sum(axis=1) == 0
-    if np.any(empty):
-        pooled[empty] = 0.0
     if with_cache:
-        return pooled, {"argmax": masked.argmax(axis=1), "empty": empty, "shape": states.shape}
-    return pooled
+        first = (states == pooled[:, None, :]) | np.isnan(states)  # a NaN max is the first NaN
+        cache = {"argmax": first.argmax(axis=1), "empty": empty, "shape": states.shape}
+    pooled[empty] = 0.0
+    return (pooled, cache) if with_cache else pooled
 
 
 def _pool_max_backward(cache: dict, dpooled: np.ndarray) -> np.ndarray:

@@ -220,6 +220,22 @@ class TestDegenerationDiagnostics:
         masks = [[0, 0, 0, 1, 0], [1, 0, 0, 0, 0]]
         assert marker_inclusion_rate(masks, self._classes()) == 0.5
 
+    @pytest.mark.parametrize("metric", [selection_composition, marker_inclusion_rate])
+    def test_row_count_mismatch_rejected(self, metric):
+        with pytest.raises(ValueError, match="2 masks but 1 token class rows"):
+            metric([[0, 0, 0, 1, 0], [1, 0, 0, 0, 0]], self._classes()[:1])
+
+    @pytest.mark.parametrize("metric", [selection_composition, marker_inclusion_rate])
+    def test_class_row_shorter_than_mask_rejected(self, metric):
+        with pytest.raises(ValueError, match="mask 1 covers 5 tokens but has 4 token classes"):
+            metric([[0, 0, 0, 1, 0], [1, 0, 0, 0, 1]], [self._classes()[0], ["filler"] * 4])
+
+    def test_mask_of_kept_prefix_accepted(self):
+        # a mask covers the kept prefix of its document, so its class row may be longer
+        masks = [[0, 0, 0, 1], [1, 0]]
+        assert marker_inclusion_rate(masks, self._classes()) == 0.5
+        assert selection_composition(masks, self._classes())["marker"] == 0.5
+
     def test_marker_inclusion_rate_ignores_marker_free_docs(self):
         classes = [["filler"] * 4, ["filler", "marker", "filler", "filler"]]
         masks = [[1, 1, 0, 0], [0, 1, 0, 0]]
@@ -279,6 +295,18 @@ class TestProbes:
         _, _, _, params = probe_world
         with pytest.raises(ValueError, match="not in vocabulary"):
             lemma3_probe(params, [["totally-unknown-token", "x"]])
+
+    def test_lemma3_row_count_mismatch_rejected(self, probe_world):
+        cfg, _, _, params = probe_world
+        sent = list(cfg.filler_tokens[:3])
+        with pytest.raises(ValueError, match="3 sentences but 2 token class rows"):
+            lemma3_probe(params, [sent, sent, sent], [["filler"] * 3] * 2)
+
+    def test_lemma3_short_class_row_rejected(self, probe_world):
+        cfg, _, _, params = probe_world
+        sent = list(cfg.filler_tokens[:3])
+        with pytest.raises(ValueError, match="sentence 1 covers 3 tokens but has 2 token classes"):
+            lemma3_probe(params, [sent, sent], [["filler"] * 3, ["filler"] * 2])
 
     def test_lemma3_reports_both_views_for_two_phase(self, probe_world):
         cfg, _, vocab, _ = probe_world

@@ -4,7 +4,7 @@ import json
 import os
 import sys
 import threading
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +237,17 @@ class TestBiGRULayer:
         with pytest.raises(RuntimeError, match="backward"):
             layer.backward(cache, np.ones_like(out), pad_mask)
 
+    def test_backward_consumes_dout(self):
+        # the padded positions of `dout` are zeroed in place; the rest is kept
+        rng = np.random.default_rng(7)
+        layer = BiGRULayer("consume", 5, 3, rng)
+        x, pad_mask, _ = self._padded(rng)
+        out, cache = layer.forward(x, pad_mask)
+        dout = rng.normal(size=out.shape)
+        expected = dout * pad_mask[:, :, None]
+        layer.backward(cache, dout, pad_mask)
+        assert np.array_equal(dout.view(np.int64), expected.view(np.int64))
+
     def test_uncached_forward_keeps_no_cache(self):
         rng = np.random.default_rng(7)
         layer = BiGRULayer("eval", 5, 3, rng)
@@ -272,7 +283,7 @@ def _stack_pass(params, batch, dstates):
     states, caches = encode(params.gen_layers, emb, batch.pad_mask, with_cache=True)
     plain, no_caches = encode(params.gen_layers, emb, batch.pad_mask)
     assert no_caches is None
-    dx = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask)
+    dx = mdl._encode_backward(params.gen_layers, caches, dstates.copy(), batch.pad_mask)
     grads = [p.grad.copy() for layer in params.gen_layers for p in layer.parameters()]
     return [states, plain, dx, *grads]
 
@@ -351,25 +362,101 @@ class TestThreadedDirections:
         assert len(started) == 8
 
     @pytest.mark.parametrize("cpus", [2, 1], ids=["threaded", "paired"])
-    def test_gate_cache_freed_before_input_grads(self, stack, monkeypatch, cpus):
-        # the input-gradient GEMMs must not run while the step-major gate cache
-        # is still held next to its batch-major copies
+    def test_input_grads_read_gate_cache_in_place(self, stack, monkeypatch, cpus):
+        # each direction's input-gradient GEMMs read its part of the cached
+        # gate buffer, with no batch-major copy in between
         params, batch, dstates = stack
         layer = params.gen_layers[0]
         started = _set_threading(monkeypatch, cpus=cpus)
         _, cache = layer.forward(params.embedding.value[batch.token_ids], batch.pad_mask)
-        gates = weakref.ref(cache["gates"])
-        input_grads, held = mdl._input_grads, []
+        gates = cache["gates"]
+        input_grads, read = mdl._input_grads, {}
 
-        def recording(*args):
-            held.append(gates() is not None)
-            return input_grads(*args)
+        def recording(direction, dpre_x, *args):
+            read[direction.W.name] = (np.shares_memory(dpre_x, gates[0]),
+                                      np.shares_memory(dpre_x, gates[1]))
+            return input_grads(direction, dpre_x, *args)
 
         monkeypatch.setattr(mdl, "_input_grads", recording)
-        layer.backward(cache, dstates, batch.pad_mask)
-        assert held == [False, False]
+        layer.backward(cache, dstates.copy(), batch.pad_mask)
+        assert read == {layer.fw.W.name: (True, False), layer.bw.W.name: (False, True)}
         # the forward, the backward's step loop and its input-gradient GEMMs
         assert len(started) == (3 if cpus == 2 else 0)
+
+
+def _traced(run) -> tuple[int, int]:
+    """The most bytes `run()` held at once, and the bytes its result holds,
+    beyond what was traced before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()  # held while the traced memory is read
+        current, peak = tracemalloc.get_traced_memory()
+        return peak - start, current - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """A layer pass and a training step hold their caches, their states and one
+    output gradient at a time.  The allowance covers what scales with one
+    step: per step the step-major pad masks and two per-step views, and 32
+    pair-step arrays for the step loops' temporaries (two threads' worth).  At
+    L=256 it is 3/4 of one (B, L, 2H) array, so a full-sequence temporary on
+    top, such as a layout copy of the gate cache or of the output gradient,
+    breaks the bound."""
+
+    B, L, E, H = 8, 256, 8, 16  # H per direction
+
+    def _pad_mask(self):
+        lengths = np.linspace(1, self.L, self.B).astype(int)
+        return (np.arange(self.L)[None, :] < lengths[:, None]).astype(np.float64), lengths
+
+    def _allowance(self) -> int:
+        pair_step = 2 * self.B * 3 * self.H * 8
+        allowance = self.L * (2 * (2 * self.B * 8) + 2 * 256) + 32 * pair_step
+        assert allowance < self.B * self.L * 2 * self.H * 8
+        return allowance
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["threaded", "paired"])
+    def test_layer_pass(self, monkeypatch, cpus):
+        rng = np.random.default_rng(8)
+        layer = BiGRULayer("peak", self.E, self.H, rng)
+        pad_mask, _ = self._pad_mask()
+        x = rng.normal(size=(self.B, self.L, self.E)) * pad_mask[:, :, None]
+        dout = rng.normal(size=(self.B, self.L, 2 * self.H))
+        _set_threading(monkeypatch, cpus=cpus)
+        layer.backward(layer.forward(x, pad_mask)[1], dout.copy(), pad_mask)  # warm-up
+        held = {}
+
+        def run():
+            out, cache = layer.forward(x, pad_mask)
+            held.update({k: cache[k].nbytes for k in ("gates", "hs", "pre_hn")}, out=out.nbytes)
+            layer.backward(cache, dout, pad_mask)
+
+        peak, _ = _traced(run)
+        # the input gradient and its two per-direction parts fit in the states
+        # that the backward frees before it allocates them
+        assert 3 * x.nbytes <= held["hs"] + held["pre_hn"]
+        assert peak <= sum(held.values()) + self._allowance()
+
+    def test_two_phase_training_step(self, tiny_world):
+        _, _, vocab = tiny_world
+        rng = np.random.default_rng(9)
+        cfg = ModelConfig(embedding_dim=self.E, hidden_dim=2 * self.H, share_depth=0)
+        params = build_model(cfg, vocab, seed=4)
+        pad_mask, lengths = self._pad_mask()
+        token_ids = np.where(pad_mask > 0, rng.integers(2, len(vocab), size=pad_mask.shape),
+                             PAD_ID)
+        batch = Batch(ids=tuple(map(str, range(self.B))), token_ids=token_ids,
+                      pad_mask=pad_mask, lengths=lengths, labels=np.arange(self.B) % 2)
+        objective_cfg = obj.ObjectiveConfig()
+        loss_and_grads(params, batch, objective_cfg, noise=1)  # warm-up
+        # the caches, states, embeddings and mask of the step's forward
+        _, held = _traced(lambda: forward(params, batch, noise=1, with_cache=True))
+        peak, _ = _traced(lambda: loss_and_grads(params, batch, objective_cfg, noise=1))
+        states_grad = self.B * self.L * 2 * self.H * 8
+        assert peak <= held + states_grad + self._allowance()
 
 
 class TestGeneratorProbs:
@@ -501,6 +588,25 @@ class TestPoolingAndPredict:
         states = np.random.default_rng(3).normal(size=(1, 4, 5))
         pooled = pool_max(states, np.zeros((1, 4)))
         assert np.all(pooled == 0.0)
+
+    def test_matches_where_argmax_reference(self):
+        # values and argmax equal the masked-copy reference bit for bit on
+        # ties, +-0, all-padding rows and NaN columns (np.argmax gives a
+        # column's first NaN); `states` ends up as that masked copy
+        rng = np.random.default_rng(12)
+        values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0, np.nan])
+        for trial in range(300):
+            shape = tuple(rng.integers(1, 6, size=3))
+            states = rng.choice(values if trial % 2 else values[:-1], size=shape)
+            pad_mask = (rng.random(shape[:2]) < 0.6).astype(np.float64)
+            pad_mask[0] = 0.0
+            masked = np.where(pad_mask[:, :, None] > 0, states, -np.inf)
+            expected = masked.max(axis=1)
+            expected[pad_mask.sum(axis=1) == 0] = 0.0
+            pooled, cache = pool_max(states, pad_mask, with_cache=True)
+            assert np.array_equal(pooled.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(cache["argmax"], masked.argmax(axis=1))
+            assert np.array_equal(states.view(np.int64), masked.view(np.int64))
 
     def test_backward_matches_loop_oracle(self):
         # tied maxima send the gradient to the first argmax; a row without a

@@ -154,6 +154,25 @@ def test_src_has_no_unused_imports():
     assert unused == {}
 
 
+def test_src_has_no_unreferenced_private_defs():
+    """Every private function or method (`_name`, not `__name__`) that a
+    library module defines is read somewhere in the library, as a name or an
+    attribute; a helper only tests read counts as unreferenced."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted((ROOT / "src" / "rationalift").glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unreferenced = sorted(
+        f"{name}:{node.name}"
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and node.name not in read
+    )
+    assert unreferenced == []
+
+
 def test_readme_library_tour_imports_exist():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tour = readme.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
