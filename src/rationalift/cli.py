@@ -330,18 +330,17 @@ def _train_run(
 ) -> int:
     """The set-up and run shared by train and skew: config objects, data, run
     directory, manifest, corpora, the model, an optional `pretrain(params,
-    splits, token_classes) -> manifest entries`, then `_run_training`.  A
-    rejected config stops it before anything is written."""
+    splits, token_classes) -> manifest entries` (written before training),
+    then `_run_training`.  A rejected config stops it before anything is written."""
     model_cfg, train_cfg = _model_config(cfg), _train_config(cfg)
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
     out_dir = _run_dir(args, cfg, run_name)
     write_manifest(out_dir, command, argv, cfg)
     _emit_synth_corpora(out_dir, cfg, splits)
     params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=cfg["seed"])
-    extra = pretrain(params, splits, token_classes) if pretrain is not None else None
+    if pretrain is not None:
+        _amend_manifest(out_dir, pretrain(params, splits, token_classes))
     run = _run_training(out_dir, cfg, train_cfg, params, splits, token_classes)
-    if extra is not None:
-        _amend_manifest(out_dir, extra)
     print(json.dumps(run.metrics.as_json_dict(), sort_keys=True))
     return 0
 
@@ -507,6 +506,8 @@ def cmd_probe(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_eval(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = resolve_config(args)
+    if args.render is not None and args.render < 0:
+        raise ConfigError(f"--render must be at least 0, got {args.render}")
     with _as_config_error():
         params, _ = mdl.load_checkpoint(args.checkpoint)
     splits, _, _, _ = resolve_data(cfg)

@@ -278,7 +278,9 @@ def _parse_jsonl_record(line: str, lineno: int, domain: Optional[str]) -> Option
         text = record["text"]
     except KeyError:
         raise CorpusError(f"line {lineno}: missing 'text' field") from None
-    tokens = tuple(str(text).split())
+    if not isinstance(text, str):
+        raise CorpusError(f"line {lineno}: text must be a string, got {text!r}")
+    tokens = tuple(text.split())
     if not tokens:
         raise CorpusError(f"line {lineno}: empty text")
     ex_id = str(record.get("id", f"line{lineno}"))

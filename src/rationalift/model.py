@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -770,18 +771,22 @@ def save_checkpoint(path: str | Path, params: ModelParams, meta: Optional[dict] 
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
+    """A `save_checkpoint` archive's model and meta; ValueError names a file that is not one."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        cfg = ModelConfig.from_json(str(archive["__config__"]))
-        vocab = Vocabulary.from_json(str(archive["__vocab__"]))
-        meta = json.loads(str(archive["__meta__"]))
-        params = build_model(cfg, vocab, embeddings=None, seed=0)
-        state = {
-            name[len("param/") :]: archive[name]
-            for name in archive.files
-            if name.startswith("param/")
-        }
+    try:  # np.load gives an .npy file's bare array, which is no context manager: TypeError
+        with np.load(path, allow_pickle=False) as archive:
+            cfg = ModelConfig.from_json(str(archive["__config__"]))
+            vocab = Vocabulary.from_json(str(archive["__vocab__"]))
+            meta = json.loads(str(archive["__meta__"]))
+            state = {
+                name[len("param/") :]: archive[name]
+                for name in archive.files
+                if name.startswith("param/")
+            }
+    except (KeyError, TypeError, ValueError, EOFError, OSError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
+    params = build_model(cfg, vocab, embeddings=None, seed=0)
     params.load_state(state)
     return params, meta

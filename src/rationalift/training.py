@@ -243,14 +243,14 @@ def train(
     The chosen epoch's record alone keeps its `final_run`.
 
     Generator-owned and shared parameters step with lr_gen, predictor-owned
-    with lr_pred.  Fully deterministic given the config seed: each epoch's
-    evaluation and the next epoch's training are one `_map_forked` call, and
-    the history and returned weights are the same bits however it places them.
+    with lr_pred.  Each epoch trains, then is evaluated and selected.  Fully
+    deterministic given the config seed, however many CPUs are free: an
+    evaluation only reads the weights.
     """
     if cfg.epochs == 0:
         return params, []
     for dataset in (splits.dev, splits.annotation):
-        if dataset is not None:  # encoded once here, not in every forked evaluation
+        if dataset is not None:  # encoded once here, not in every annotation child
             dataset.token_ids(params.vocab)
     # `_epochs` shuffles from the seed's first child stream, the mask noise
     # comes from its second
@@ -271,35 +271,25 @@ def train(
     if token_classes is not None:
         class_rows = [classify_tokens(ex.tokens, token_classes) for ex in splits.dev]
 
-    def train_epoch(epoch: int) -> dict:
-        losses = next(epochs)
+    history: TrainHistory = []
+    best_state: dict = {}
+    for epoch, losses in zip(range(1, cfg.epochs + 1), epochs):
         ce_sum = omega_sum = 0.0
         for ce, omega in losses:
             ce_sum += ce
             omega_sum += omega
         for i in range(params.config.share_depth):
             assert params.pred_layers[i] is params.gen_layers[i], "sharing alias broken"
-        return dict(epoch=epoch, train_ce=ce_sum / len(losses),
-                    train_omega=omega_sum / len(losses),
-                    train_loss=(ce_sum + omega_sum) / len(losses))
-
-    history: TrainHistory = []
-    best_state: dict = {}
-    train_fields = train_epoch(1)
-    for epoch in range(1, cfg.epochs + 1):
-        state = params.state_dict()
-        jobs = [lambda: _evaluate_epoch(params, splits, class_rows)]
-        if epoch < cfg.epochs:
-            jobs.append(lambda: train_epoch(epoch + 1))
-        eval_fields, *next_fields = _map_forked(lambda job: job(), jobs, "evaluation")
-        history.append(EpochRecord(**train_fields, **eval_fields))
+        history.append(EpochRecord(epoch=epoch, train_ce=ce_sum / len(losses),
+                                   train_omega=omega_sum / len(losses),
+                                   train_loss=(ce_sum + omega_sum) / len(losses),
+                                   **_evaluate_epoch(params, splits, class_rows)))
         if select_model(history, cfg.objective.alpha, cfg.delta_sparsity) == len(history) - 1:
-            best_state = state
+            best_state = params.state_dict()
             for earlier in history[:-1]:
                 earlier.final_run = None
         else:
             history[-1].final_run = None
-        train_fields = next_fields[0] if next_fields else None
     best = params.clone()
     best.load_state(best_state)
     return best, history
@@ -464,7 +454,7 @@ def _map_forked(job: Callable, items: Sequence, role: str) -> list:
     once they have started, those with `k % w == w - 1`, so that a tracer in
     the caller still sees its share.  A child inherits `job` (a closure need
     not pickle) and the caller's memory, copy-on-write, and only its results
-    come back: an item may change caller state only if no later item reads it.
+    come back, so a job must not change state that the caller reads.
     A child writes its results to an unlinked temporary file, not a pipe, so
     that it exits once done however large they are, and `model._cpu_count`
     gives its CPU back to the caller, which may still be running its share.

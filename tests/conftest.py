@@ -27,8 +27,8 @@ if "numpy" in sys.modules:
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """The grid's workers and `train`'s forked evaluations must all be joined
-    by the time the call that started them returns or raises."""
+    """The grid's workers and the annotation child of each `train` epoch must
+    all be joined by the time the call that started them returns or raises."""
     yield
     children = multiprocessing.active_children()
     for child in children:

@@ -4,7 +4,7 @@ import argparse
 import json
 import multiprocessing
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +204,21 @@ class TestSkewCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pretrain_epochs"] == 2
 
+    def test_divergence_keeps_pretraining_record(self, synth_cfg, tmp_path, monkeypatch):
+        loss_and_grads = mdl.loss_and_grads
+
+        def diverging(*args, **kwargs):  # joint training only: pretraining never calls it
+            return replace(loss_and_grads(*args, **kwargs), total=float("nan"))
+
+        monkeypatch.setattr(mdl, "loss_and_grads", diverging)
+        out = tmp_path / "skewg"
+        code = cli.main(["skew", "--config", str(synth_cfg), "--kind", "generator",
+                         "--k", "0.55", "--out", str(out), "--epochs", "1"])
+        assert code == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pre_acc"] >= 0.55 and manifest["skew"] == {"kind": "generator", "k": 0.55}
+        assert not (out / "final.json").exists()
+
     def test_invalid_kind_exits_2(self, synth_cfg):
         assert cli.main(["skew", "--config", str(synth_cfg), "--kind", "both",
                          "--k", "1"]) == 2
@@ -370,6 +385,29 @@ class TestGridCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("kind", ["npz_without_config", "npy", "pk_not_zip", "text",
+                                      "directory"])
+    @pytest.mark.parametrize("command", ["eval", "probe"])
+    def test_non_checkpoint_file_exits_2(self, synth_cfg, tmp_path, capsys, kind, command):
+        path = tmp_path / f"{kind}.npz"
+        if kind == "npz_without_config":
+            np.savez(path, x=np.zeros(3))
+        elif kind == "npy":
+            with path.open("wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif kind == "pk_not_zip":
+            path.write_bytes(b"PK not a zip archive")
+        elif kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("not a checkpoint\n")
+        extra = ["--probe", "lemma3"] if command == "probe" else []
+        code = cli.main([command, "--config", str(synth_cfg), "--checkpoint", str(path),
+                         "--out", str(tmp_path / "out"), *extra])
+        assert code == 2
+        assert f"cannot load checkpoint {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_model_config_exits_2(self, synth_cfg, tmp_path, capsys):
         code = cli.main(["train", "--config", str(synth_cfg), "--share-depth", "3",
                          "--out", str(tmp_path / "bad")])
@@ -646,6 +684,15 @@ class TestEvalCommand:
                          "--out", str(tmp_path / "eval")])
         assert code == 2
         assert "num_classes" in capsys.readouterr().err
+
+    def test_negative_render_exits_2(self, synth_cfg, tmp_path, capsys):
+        # rejected before the checkpoint, which does not exist, is looked for
+        code = cli.main(["eval", "--config", str(synth_cfg), "--checkpoint",
+                         str(tmp_path / "no.npz"), "--render", "-1",
+                         "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert "--render must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_annotation_metrics_complete(self, synth_cfg, trained_checkpoint, tmp_path):
         out = tmp_path / "eval"

@@ -148,6 +148,15 @@ class TestLoadReviews:
         with pytest.raises(CorpusError, match="line 1: label must be 0 or 1"):
             load_reviews(path, "aroma", "beer", split="dev")
 
+    @pytest.mark.parametrize("text", [None, 123, ["x", "y"]], ids=["null", "number", "list"])
+    def test_non_string_text_rejected(self, tmp_path, text):
+        # str() made a document of any value: the tokens None, 123 or ['x', 'y']
+        path = tmp_path / "lab.jsonl"
+        _write_lines(path, [{"id": "a", "label": 1, "text": "good"},
+                            {"id": "b", "label": 0, "text": text}])
+        with pytest.raises(CorpusError, match="line 2: text must be a string"):
+            load_reviews(path, "aroma", "beer", split="dev")
+
 
 class TestAnnotations:
     def test_interval_expansion(self):

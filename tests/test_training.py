@@ -2,7 +2,6 @@
 
 import multiprocessing
 import os
-import signal
 import threading
 import time
 from dataclasses import replace
@@ -582,26 +581,10 @@ def _history_in_worker(world) -> list[dict]:
 
 
 class TestOverlappedEvaluation:
-    """`train` evaluates each epoch but the last in a forked child while the
-    next epoch trains, and the last epoch's annotation split in a forked child
-    while it evaluates dev, all through `_map_forked`; the results must equal
-    an in-process run's."""
-
-    @pytest.fixture
-    def evaluate_in_child(self, monkeypatch):
-        """Install `effect` to run in place of `_evaluate_epoch` in the child."""
-        _fake_cpus(monkeypatch, 2)
-        caller, evaluate = os.getpid(), training._evaluate_epoch
-
-        def install(effect):
-            def patched(*args):
-                if os.getpid() != caller:
-                    effect()
-                return evaluate(*args)
-
-            monkeypatch.setattr(training, "_evaluate_epoch", patched)
-
-        return install
+    """With a free CPU, `train` evaluates every epoch's annotation split in a
+    forked child while the caller evaluates dev, through `_map_forked`, and
+    trains the next epoch only after both; the results must equal an
+    in-process run's."""
 
     @pytest.mark.parametrize("dev_only", [False, True], ids=["annotation", "dev_only"])
     @pytest.mark.parametrize("with_classes", [False, True], ids=["no_classes", "token_classes"])
@@ -641,8 +624,8 @@ class TestOverlappedEvaluation:
                 model = _model(vocab, share_depth=share_depth, seed=7, hidden_dim=hidden_dim)
                 best, history = train(model, splits, run_cfg, token_classes=token_classes)
                 runs.append((history, best.state_dict()))
-                # one per epoch but the last, and the last epoch's annotation child
-                assert len(forks) == (cpus - 1) * (cfg.epochs - 1 + (not dev_only))
+                # one annotation child per epoch
+                assert len(forks) == (cpus - 1) * cfg.epochs * (not dev_only)
                 threads.append(len(started))
             assert threads[0] == 0 and (threads[1] > 0) == (hidden_dim > 10)
             (hist1, best1), (hist2, best2) = runs
@@ -657,8 +640,7 @@ class TestOverlappedEvaluation:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_selected_epoch_keeps_its_final_run(self, small_world, monkeypatch, dev_only, cpus):
         """The selected record alone holds `final_run`, the evaluation of the
-        final split by the returned weights; with two CPUs the selected epoch,
-        not the last, was evaluated in a forked child."""
+        final split by the returned weights, here of an epoch before the last."""
         _, splits, vocab = small_world
         if dev_only:
             splits = dat.Splits(train=splits.train, dev=splits.dev)
@@ -679,41 +661,25 @@ class TestOverlappedEvaluation:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         assert "final_run" not in history[idx].to_json_dict()
 
-    def test_divergence_while_child_pending(self, small_world, monkeypatch, evaluate_in_child):
+    def test_dev_evaluated_in_caller_before_next_epoch(self, small_world, monkeypatch):
         _, splits, vocab = small_world
-        evaluate_in_child(lambda: time.sleep(60))
-        backward, calls = mdl.loss_and_grads, []
+        _fake_cpus(monkeypatch, 2)
+        events = []  # what a forked child appends stays in the child
+        evaluate, backward = evaluation.evaluate_model, mdl.loss_and_grads
 
-        def diverge_in_epoch_2(*args, **kwargs):
-            loss = backward(*args, **kwargs)
-            calls.append(1)
-            return loss if len(calls) == 1 else replace(loss, total=float("nan"))
+        def logged_evaluate(params, dataset):
+            if dataset is splits.dev:
+                events.append("dev")
+            return evaluate(params, dataset)
 
-        monkeypatch.setattr(mdl, "loss_and_grads", diverge_in_epoch_2)
-        start = time.monotonic()
-        with pytest.raises(DivergenceError, match="epoch 2"):
-            train(_model(vocab), splits, _train_cfg(epochs=3, batch_size=len(splits.train)))
-        assert time.monotonic() - start < 30
-        assert multiprocessing.active_children() == []
+        def logged_backward(*args, **kwargs):
+            events.append("step")
+            return backward(*args, **kwargs)
 
-    def test_child_exception_keeps_its_type(self, small_world, evaluate_in_child):
-        _, splits, vocab = small_world
-
-        def fail():
-            raise ValueError("evaluation failed in the child")
-
-        evaluate_in_child(fail)
-        with pytest.raises(ValueError, match="failed in the child") as info:
-            train(_model(vocab), splits, _train_cfg(epochs=2))
-        assert "in evaluation" in str(info.value.__cause__)
-        assert multiprocessing.active_children() == []
-
-    def test_killed_child_is_reported(self, small_world, evaluate_in_child):
-        _, splits, vocab = small_world
-        evaluate_in_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
-        with pytest.raises(RuntimeError, match="exited with code -9"):
-            train(_model(vocab), splits, _train_cfg(epochs=2))
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(evaluation, "evaluate_model", logged_evaluate)
+        monkeypatch.setattr(mdl, "loss_and_grads", logged_backward)
+        train(_model(vocab), splits, _train_cfg(epochs=3))  # 60 documents, 3 batches an epoch
+        assert events == ["step", "step", "step", "dev"] * 3
 
     def test_train_in_pool_worker(self, small_world, monkeypatch):
         # Pool workers are daemonic and may not start children
@@ -739,7 +705,7 @@ class TestOverlappedEvaluation:
         def run_cell(params, splits, cfg):
             f1 = training._score_cell(params, splits, cfg)
             if os.getpid() != caller:  # jobs 0 and 2, the worker's: it outlives the caller's
-                time.sleep(0.5)  # cells, whose last evaluation would otherwise find a CPU free
+                time.sleep(0.5)  # cells, whose evaluations would otherwise find a CPU free
             return f1
 
         monkeypatch.setattr(os, "fork", logged_fork)
