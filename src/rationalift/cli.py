@@ -1,8 +1,9 @@
 """Command-line entry point tying the library into reproducible experiments.
 
-Every run writes a manifest (command, resolved config, seed, artifact paths)
-before training starts, a metrics JSON-lines stream with one record per epoch,
-a final metrics JSON, and a checkpoint.  Config precedence is CLI flag >
+Every training run (train, skew, a grid cell) writes a manifest (command,
+resolved config, seed, the paths of the files it writes) before training
+starts, a metrics JSON-lines stream with one record per epoch, a checkpoint,
+a mask dump and a final metrics JSON.  Config precedence is CLI flag >
 config file > default; a key's default is that of the config-object field it
 feeds (CONFIG_SCHEMA), and the manifest echoes the fully resolved config so a
 run can be replayed without the original shell invocation.
@@ -232,9 +233,22 @@ def _run_dir(args: argparse.Namespace, cfg: dict, command: str) -> Path:
     return _out_root() / f"{command}-{stem}-{cfg['mode']}-seed{cfg['seed']}"
 
 
+# each artifact's file within its run directory: writers and manifests read
+# the names here
+ARTIFACTS = {
+    "metrics": "metrics.jsonl", "checkpoint": "checkpoint.npz", "masks": "masks.jsonl",
+    "final": "final.json", "grid_csv": "grid.csv", "grid_txt": "grid.txt",
+    "grid_json": "grid.json", "train_corpus": "data/train.jsonl",
+    "dev_corpus": "data/dev.jsonl", "annotation_corpus": "data/annotation.jsonl",
+}
+RUN_ARTIFACTS = ("metrics", "checkpoint", "masks", "final")  # what `_run_training` writes
+
+
 def write_manifest(
-    out_dir: Path, command: str, argv: Sequence[str], cfg: dict, extra: Optional[dict] = None
+    out_dir: Path, command: str, argv: Sequence[str], cfg: dict, artifacts: Sequence[str],
+    extra: Optional[dict] = None,
 ) -> Path:
+    """Write `manifest.json`, listing the files of the `artifacts` it names."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
@@ -242,11 +256,7 @@ def write_manifest(
         "resolved_config": {k: cfg[k] for k in sorted(cfg)},
         "seed": cfg["seed"],
         "out_dir": str(out_dir),
-        "artifacts": {
-            "checkpoint": str(out_dir / "checkpoint.npz"),
-            "metrics": str(out_dir / "metrics.jsonl"),
-            "final": str(out_dir / "final.json"),
-        },
+        "artifacts": {name: str(out_dir / ARTIFACTS[name]) for name in artifacts},
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     if extra:
@@ -273,29 +283,28 @@ def _amend_manifest(out_dir: Path, extra: dict) -> None:
 
 
 def _write_metrics_stream(out_dir: Path, history: training.TrainHistory) -> None:
-    with data.atomic_write(out_dir / "metrics.jsonl") as fh:
+    with data.atomic_write(out_dir / ARTIFACTS["metrics"]) as fh:
         for record in history:
             fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
 
 
 def _write_final(out_dir: Path, run: evaluation.EvalRun) -> None:
-    with data.atomic_write(out_dir / "masks.jsonl") as fh:
+    with data.atomic_write(out_dir / ARTIFACTS["masks"]) as fh:
         for ex_id, mask in zip(run.ids, run.masks):
             fh.write(
                 json.dumps({"id": ex_id, "mask": "".join(str(int(m)) for m in mask)}) + "\n"
             )
     # final.json is written last: a run that has it is complete
-    _write_json(out_dir / "final.json", run.metrics.as_json_dict())
+    _write_json(out_dir / ARTIFACTS["final"], run.metrics.as_json_dict())
 
 
-def _emit_synth_corpora(out_dir: Path, cfg: dict, splits: data.Splits) -> None:
+def _synth_corpora(cfg: dict, splits: data.Splits) -> dict[str, data.Dataset]:
+    """The splits a run writes out, by artifact name: a synthetic corpus's."""
     if cfg["data"] != "synth":
-        return
-    corpus_dir = out_dir / "data"
-    data.write_jsonl(splits.train, corpus_dir / "train.jsonl")
-    data.write_jsonl(splits.dev, corpus_dir / "dev.jsonl")
-    if splits.annotation is not None:
-        data.write_jsonl(splits.annotation, corpus_dir / "annotation.jsonl")
+        return {}
+    named = (("train_corpus", splits.train), ("dev_corpus", splits.dev),
+             ("annotation_corpus", splits.annotation))
+    return {name: dataset for name, dataset in named if dataset is not None}
 
 
 def _final_split(splits: data.Splits) -> data.Dataset:
@@ -315,11 +324,8 @@ def _run_training(
     epoch's evaluation of its final split during training, not a second pass."""
     best, history = training.train(params, splits, train_cfg, token_classes=token_classes)
     _write_metrics_stream(out_dir, history)
-    selected = training.select_model(
-        history, train_cfg.objective.alpha, train_cfg.delta_sparsity
-    )
-    run = history[selected].final_run
-    mdl.save_checkpoint(out_dir / "checkpoint.npz", best, meta={"config": cfg})
+    run = next(r.final_run for r in history if r.final_run is not None)
+    mdl.save_checkpoint(out_dir / ARTIFACTS["checkpoint"], best, meta={"config": cfg})
     _write_final(out_dir, run)
     return run
 
@@ -335,8 +341,10 @@ def _train_run(
     model_cfg, train_cfg = _model_config(cfg), _train_config(cfg)
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
     out_dir = _run_dir(args, cfg, run_name)
-    write_manifest(out_dir, command, argv, cfg)
-    _emit_synth_corpora(out_dir, cfg, splits)
+    corpora = _synth_corpora(cfg, splits)
+    write_manifest(out_dir, command, argv, cfg, [*RUN_ARTIFACTS, *corpora])
+    for name, dataset in corpora.items():
+        data.write_jsonl(dataset, out_dir / ARTIFACTS[name])
     params = mdl.build_model(model_cfg, vocab, embeddings=embeddings, seed=cfg["seed"])
     if pretrain is not None:
         _amend_manifest(out_dir, pretrain(params, splits, token_classes))
@@ -398,9 +406,9 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if splits.annotation is None:
         raise ConfigError("the grid needs an annotation split to score F1")
     out_dir = _run_dir(args, cfg, "grid")
-    write_manifest(out_dir, "grid", argv, cfg, extra={
-        "grid": {"gen_rates": gen_rates, "pred_rates": pred_rates, "seeds": seeds}
-    })
+    write_manifest(out_dir, "grid", argv, cfg, ("grid_csv", "grid_txt", "grid_json"),
+                   extra={"grid": {"gen_rates": gen_rates, "pred_rates": pred_rates,
+                                   "seeds": seeds}})
 
     def run_cell(
         params: mdl.ModelParams, splits: data.Splits, train_cfg: training.TrainConfig
@@ -410,12 +418,12 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
         lg, lp, seed = train_cfg.lr_gen, train_cfg.lr_pred, train_cfg.seed
         cell_cfg = dict(cfg, lr_gen=lg, lr_pred=lp, seed=seed)
         cell_dir = out_dir / f"cell-g{lg:g}-p{lp:g}-s{seed}"
-        manifest, final = cell_dir / "manifest.json", cell_dir / "final.json"
+        manifest, final = cell_dir / "manifest.json", cell_dir / ARTIFACTS["final"]
         if manifest.exists() and final.exists():
             if json.loads(manifest.read_text(encoding="utf-8"))["resolved_config"] == cell_cfg:
                 return json.loads(final.read_text(encoding="utf-8"))["F1"]
         final.unlink(missing_ok=True)  # a stale result must not outlive the new manifest
-        write_manifest(cell_dir, "train", argv, cell_cfg)
+        write_manifest(cell_dir, "train", argv, cell_cfg, RUN_ARTIFACTS)
         run = _run_training(cell_dir, cell_cfg, train_cfg, params, splits, token_classes)
         return run.metrics.f1
 
@@ -423,7 +431,7 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
         model_cfg, vocab, splits, base_cfg, gen_rates, pred_rates, seeds,
         embeddings=embeddings, run_cell=run_cell,
     ).median_f1
-    with data.atomic_write(out_dir / "grid.csv") as fh:
+    with data.atomic_write(out_dir / ARTIFACTS["grid_csv"]) as fh:
         writer = csv.writer(fh)
         writer.writerow(["lr_gen\\lr_pred"] + [f"{lp:g}" for lp in pred_rates])
         for i, lg in enumerate(gen_rates):
@@ -434,9 +442,9 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
             f"{lg:>13g}  " + "  ".join(f"{median[i, j]:>10.4f}" for j in range(len(pred_rates)))
         )
     table = "\n".join(lines)
-    _write_text(out_dir / "grid.txt", table + "\n")
+    _write_text(out_dir / ARTIFACTS["grid_txt"], table + "\n")
     summary = {"gen_rates": gen_rates, "pred_rates": pred_rates, "median_f1": median.tolist()}
-    _write_json(out_dir / "grid.json", summary)
+    _write_json(out_dir / ARTIFACTS["grid_json"], summary)
     print(table)
     return 0
 

@@ -283,7 +283,10 @@ def _parse_jsonl_record(line: str, lineno: int, domain: Optional[str]) -> Option
     tokens = tuple(text.split())
     if not tokens:
         raise CorpusError(f"line {lineno}: empty text")
-    ex_id = str(record.get("id", f"line{lineno}"))
+    ex_id = record.get("id", f"line{lineno}")
+    if isinstance(ex_id, bool) or not isinstance(ex_id, (str, int)):
+        raise CorpusError(f"line {lineno}: id must be a string or an integer, got {ex_id!r}")
+    ex_id = str(ex_id)
 
     if "label" in record:
         label = record["label"]
@@ -322,13 +325,17 @@ def _parse_jsonl_record(line: str, lineno: int, domain: Optional[str]) -> Option
 
 
 def _read_jsonl(path: Path, domain: Optional[str]) -> list[Example]:
-    examples = []
+    """The file's examples; ids are unique within it, as `masks.jsonl` keys by id."""
+    examples, id_lines = [], {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             ex = _parse_jsonl_record(line, lineno, domain)
             if ex is not None:
+                if ex.id in id_lines:
+                    raise CorpusError(f"line {lineno}: id {ex.id!r} repeats line {id_lines[ex.id]}")
+                id_lines[ex.id] = lineno
                 examples.append(ex)
     return examples
 

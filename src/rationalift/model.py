@@ -416,11 +416,6 @@ class ModelParams:
         for name, param in own.items():
             param.value[...] = state[name]
 
-    def clone(self) -> "ModelParams":
-        new = build_model(self.config, self.vocab, embeddings=None, seed=0)
-        new.load_state(self.state_dict())
-        return new
-
 
 def build_model(
     cfg: ModelConfig,

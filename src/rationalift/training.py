@@ -11,6 +11,7 @@ import pickle
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -99,7 +100,8 @@ class EpochRecord:
     marker_rate: Optional[float] = None
     composition: Optional[dict[str, float]] = None
     # the epoch's evaluation of its final split (annotation, or dev without
-    # one); `train` keeps it on the selected epoch only
+    # one); `train` sets it on the epoch it selects only, so the record that
+    # holds it is the selection
     final_run: Optional[evaluation.EvalRun] = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
@@ -205,32 +207,25 @@ def select_model(history: TrainHistory, alpha: float, delta_sparsity: float = 0.
 
 def _evaluate_epoch(
     params: mdl.ModelParams, splits: Splits, class_rows: Optional[list[list[str]]]
-) -> dict:
-    """The evaluation fields of an epoch's `EpochRecord`, `final_run` included;
-    `class_rows` are the dev documents' token classes, or None without a
-    token-class map.  The annotation split and dev are two `_map_forked` jobs."""
-
-    def annotation() -> dict:
-        run = evaluation.evaluate_model(params, splits.annotation)
-        ann = run.metrics
-        return dict(ann_acc=ann.acc, ann_sparsity=ann.s, ann_precision=ann.p,
-                    ann_recall=ann.r, ann_f1=ann.f1, final_run=run)
-
-    def dev() -> dict:
-        run = evaluation.evaluate_model(params, splits.dev)
-        fields = dict(dev_acc=run.metrics.acc, dev_sparsity=run.metrics.s, dev_f1=run.metrics.f1)
-        if class_rows is not None:
-            fields["marker_rate"] = evaluation.marker_inclusion_rate(run.masks, class_rows)
-            fields["composition"] = evaluation.selection_composition(run.masks, class_rows)
-        if splits.annotation is None:
-            fields["final_run"] = run
-        return fields
-
-    parts = [dev] if splits.annotation is None else [annotation, dev]
-    fields: dict = {}
-    for part in _map_forked(lambda part: part(), parts, "annotation evaluation"):
-        fields.update(part)
-    return fields
+) -> tuple[dict, evaluation.EvalRun]:
+    """An epoch's evaluation: its `EpochRecord` fields, and its run of the final
+    split (annotation, or dev without one).  `class_rows` are the dev
+    documents' token classes, or None without a token-class map.  Each split is
+    one `_map_forked` job, dev the last: with a free CPU, annotation runs in a
+    child beside dev, which runs in the caller."""
+    datasets = [ds for ds in (splits.annotation, splits.dev) if ds is not None]
+    runs = _map_forked(partial(evaluation.evaluate_model, params), datasets,
+                       "annotation evaluation")
+    dev = runs[-1]
+    fields = dict(dev_acc=dev.metrics.acc, dev_sparsity=dev.metrics.s, dev_f1=dev.metrics.f1)
+    if splits.annotation is not None:
+        ann = runs[0].metrics
+        fields.update(ann_acc=ann.acc, ann_sparsity=ann.s, ann_precision=ann.p,
+                      ann_recall=ann.r, ann_f1=ann.f1)
+    if class_rows is not None:
+        fields["marker_rate"] = evaluation.marker_inclusion_rate(dev.masks, class_rows)
+        fields["composition"] = evaluation.selection_composition(dev.masks, class_rows)
+    return fields, runs[0]
 
 
 def train(
@@ -239,8 +234,10 @@ def train(
     cfg: TrainConfig,
     token_classes: Optional[Mapping[str, str]] = None,
 ) -> tuple[mdl.ModelParams, TrainHistory]:
-    """Joint cooperative training; returns the checkpoint chosen by select_model.
-    The chosen epoch's record alone keeps its `final_run`.
+    """Joint cooperative training; returns the weights of the epoch that
+    select_model chooses, and the history.  The chosen epoch's record alone
+    holds its `final_run`, so callers read the selection there and never call
+    select_model again.
 
     Generator-owned and shared parameters step with lr_gen, predictor-owned
     with lr_pred.  Each epoch trains, then is evaluated and selected.  Fully
@@ -272,7 +269,6 @@ def train(
         class_rows = [classify_tokens(ex.tokens, token_classes) for ex in splits.dev]
 
     history: TrainHistory = []
-    best_state: dict = {}
     for epoch, losses in zip(range(1, cfg.epochs + 1), epochs):
         ce_sum = omega_sum = 0.0
         for ce, omega in losses:
@@ -280,17 +276,14 @@ def train(
             omega_sum += omega
         for i in range(params.config.share_depth):
             assert params.pred_layers[i] is params.gen_layers[i], "sharing alias broken"
+        fields, run = _evaluate_epoch(params, splits, class_rows)
         history.append(EpochRecord(epoch=epoch, train_ce=ce_sum / len(losses),
                                    train_omega=omega_sum / len(losses),
-                                   train_loss=(ce_sum + omega_sum) / len(losses),
-                                   **_evaluate_epoch(params, splits, class_rows)))
+                                   train_loss=(ce_sum + omega_sum) / len(losses), **fields))
         if select_model(history, cfg.objective.alpha, cfg.delta_sparsity) == len(history) - 1:
-            best_state = params.state_dict()
-            for earlier in history[:-1]:
-                earlier.final_run = None
-        else:
-            history[-1].final_run = None
-    best = params.clone()
+            selected, best_state, best_run = history[-1], params.state_dict(), run
+    selected.final_run = best_run
+    best = mdl.build_model(params.config, params.vocab)
     best.load_state(best_state)
     return best, history
 
@@ -429,9 +422,9 @@ class GridResult:
 
 
 def _score_cell(params: mdl.ModelParams, splits: Splits, cfg: TrainConfig) -> float:
-    """Annotation F1 of the epoch `train` selects, as its history records it."""
+    """Annotation F1 of the epoch `train` selects: the record holding `final_run`."""
     _, history = train(params, splits, cfg)
-    return float(history[select_model(history, cfg.objective.alpha, cfg.delta_sparsity)].ann_f1)
+    return next(float(r.ann_f1) for r in history if r.final_run is not None)
 
 
 def _run_child(job: Callable[[], object], out) -> None:

@@ -154,8 +154,9 @@ class TestTrainCommand:
                          "--out", str(tmp_path / "run")]) == 0
         assert sorted(calls) == [("annotation", False)] * 2 + [("dev", False)] * 2
 
-    # (mode, extra flags, selected epoch index of 3): epoch 2 of 3 is evaluated
-    # in a forked child while epoch 3 trains, the last epoch in the caller
+    # (mode, extra flags, selected epoch index of 3): epoch 2 or the last.  With
+    # two CPUs, every epoch's annotation split, whose evaluation final.json and
+    # masks.jsonl reuse, is evaluated in a forked child beside dev
     @pytest.mark.parametrize("mode, extra, selected", [
         ("fr", [], 1),
         ("rnp", ["--alpha", "0.5", "--lr-gen", "2e-2", "--lr-pred", "2e-2"], 2),
@@ -384,6 +385,51 @@ class TestGridCommand:
         assert not out.exists()
 
 
+class TestManifest:
+    """A manifest's `artifacts` are exactly the files its command wrote in its
+    directory, the manifest and the grid's cell directories aside."""
+
+    @staticmethod
+    def _assert_lists_written(out: Path) -> None:
+        listed = json.loads((out / "manifest.json").read_text())["artifacts"].values()
+        written = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
+        assert {Path(p).relative_to(out) for p in listed} == {
+            p for p in written if p.name != "manifest.json" and not p.parts[0].startswith("cell-")}
+
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["skew", "--kind", "generator", "--k", "0.55"],
+        ["skew", "--kind", "predictor", "--k", "1"],
+    ], ids=["train", "skew-generator", "skew-predictor"])
+    def test_training_run(self, synth_cfg, tmp_path, argv):
+        out = tmp_path / "run"
+        assert cli.main(argv + ["--config", str(synth_cfg), "--out", str(out)]) == 0
+        assert (out / "data" / "train.jsonl").exists()
+        self._assert_lists_written(out)
+
+    def test_jsonl_run_writes_no_corpus(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"label": k % 2, "text": f"w{k % 3} beer"}) + "\n"
+                                  for k in range(8)))
+        config = tmp_path / "jsonl.cfg"
+        config.write_text(f"data = jsonl\ndomain = beer\naspect = aroma\nepochs = 1\n"
+                          f"embedding_dim = 4\nhidden_dim = 4\n"
+                          f"train_path = {corpus}\ndev_path = {corpus}\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert not (out / "data").exists()
+        self._assert_lists_written(out)
+
+    def test_grid_and_its_cells(self, synth_cfg, tmp_path):
+        out = tmp_path / "grid"
+        assert cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "2e-3",
+                         "--pred-rates", "2e-3,4e-4", "--seeds", "0", "--epochs", "1",
+                         "--out", str(out)]) == 0
+        cells = sorted(out.glob("cell-*"))
+        assert len(cells) == 2
+        for run_dir in [out, *cells]:
+            self._assert_lists_written(run_dir)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("kind", ["npz_without_config", "npy", "pk_not_zip", "text",
                                       "directory"])
@@ -550,6 +596,8 @@ class TestExitCodes:
         ("embedding", "vec.txt:2: token 'good'"),
         # a non-finite vector once trained to a non-finite loss and exited 3
         ("nan-embedding", "vec.txt:2: token 'good' has a non-finite value"),
+        ("null-id", "line 1: id must be a string or an integer, got None"),
+        ("repeated-id", "line 2: id 'a0' repeats line 1"),
     ])
     def test_malformed_corpus_value_exits_2(self, tmp_path, capsys, case, where):
         reviews = [{"rating": 0.9, "text": "good beer"}, {"rating": 0.1, "text": "bad beer"}]
@@ -559,11 +607,12 @@ class TestExitCodes:
         bad_vector = {"embedding": "good 0.1 abc\n", "nan-embedding": "good nan 0.1\n"}
         vectors = "beer 0.1 0.2\n" + bad_vector.get(case, "")
         label = True if case == "bool-label" else 1
+        annotation = {"id": None if case == "null-id" else "a0", "label": label,
+                      "text": "good beer", "rationale_spans": spans}
         paths = {}
         for name, text in [
             ("train", "".join(json.dumps(r) + "\n" for r in reviews)),
-            ("annotation", json.dumps({"id": "a0", "label": label, "text": "good beer",
-                                       "rationale_spans": spans}) + "\n"),
+            ("annotation", (json.dumps(annotation) + "\n") * (1 + (case == "repeated-id"))),
             ("embeddings", vectors),
         ]:
             paths[name] = tmp_path / ("vec.txt" if name == "embeddings" else f"{name}.jsonl")

@@ -157,6 +157,28 @@ class TestLoadReviews:
         with pytest.raises(CorpusError, match="line 2: text must be a string"):
             load_reviews(path, "aroma", "beer", split="dev")
 
+    @pytest.mark.parametrize("ids, message", [
+        (("a", None), "line 2: id must be a string or an integer, got None"),
+        (("a", 1.5), "line 2: id must be a string or an integer, got 1.5"),
+        (("a", True), "line 2: id must be a string or an integer, got True"),
+        (("a", ["b"]), r"line 2: id must be a string or an integer, got \['b'\]"),
+        (("a", "a"), "line 2: id 'a' repeats line 1"),
+        ((1, "1"), "line 2: id '1' repeats line 1"),
+        ((None, None), "line 1: id must be"),
+        # an explicit id may not take the one a record without an id is given
+        ((..., "line1"), "line 2: id 'line1' repeats line 1"),
+    ], ids=["null", "float", "bool", "list", "repeated", "int-and-string", "nulls", "default"])
+    def test_bad_or_repeated_id_rejected(self, tmp_path, ids, message):
+        # str() made one id "None" of every null, and one id "1" of 1 and "1"
+        path = tmp_path / "ids.jsonl"
+        records = [{"label": label, "text": "good"} for label in (1, 0)]
+        for record, ex_id in zip(records, ids):
+            if ex_id is not ...:
+                record["id"] = ex_id
+        _write_lines(path, records)
+        with pytest.raises(CorpusError, match=message):
+            load_reviews(path, "aroma", "beer", split="dev")
+
 
 class TestAnnotations:
     def test_interval_expansion(self):

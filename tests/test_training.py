@@ -385,6 +385,17 @@ class TestLrGrid:
         assert f1 > 0
         assert grid.median_f1[0, 0] == f1
 
+    def test_cell_scored_at_selected_epoch(self, small_world):
+        # the in-band recipe of test_selected_params_reproduce_selected_epoch,
+        # which selects an epoch before the last
+        _, splits, vocab = small_world
+        cfg = _train_cfg(epochs=5, seed=3, lr_gen=2e-2, lr_pred=2e-2, delta_sparsity=0.4,
+                         objective=obj.ObjectiveConfig(lambda1=1.0, lambda2=0.05, alpha=0.5))
+        _, history = train(_model(vocab, seed=7), splits, cfg)
+        idx = select_model(history, cfg.objective.alpha, cfg.delta_sparsity)
+        assert idx < cfg.epochs - 1 and history[idx].ann_f1 != history[-1].ann_f1
+        assert training._score_cell(_model(vocab, seed=7), splits, cfg) == history[idx].ann_f1
+
     def test_requires_two_phase_mode(self, small_world):
         _, splits, vocab = small_world
         mcfg = mdl.ModelConfig(embedding_dim=8, hidden_dim=10, share_depth=1)
