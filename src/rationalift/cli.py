@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -150,8 +149,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 @contextmanager
 def _as_config_error():
-    """Report a config object's validation failure, or a checkpoint this version
-    cannot load, as a user-facing ConfigError."""
+    """Report a config object's or the grid's validation failure, or a
+    checkpoint this version cannot load, as a user-facing ConfigError."""
     try:
         yield
     except ValueError as exc:
@@ -171,19 +170,12 @@ def _model_config(cfg: dict) -> mdl.ModelConfig:
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
-    """The run's TrainConfig; a CLI run trains at least one epoch."""
-    if cfg["epochs"] < 1:
-        raise ConfigError(f"epochs must be at least 1, got {cfg['epochs']}")
     return _config(training.TrainConfig, cfg, objective=_config(obj.ObjectiveConfig, cfg))
 
 
 def _skew_config(cfg: dict) -> training.SkewConfig:
-    kind = cfg["skew_kind"]
-    if kind not in ("generator", "predictor"):
-        raise ConfigError(f"invalid skew kind {kind!r}")
-    if cfg["skew_k"] is None:
-        raise ConfigError("skew requires --k")
-    return _config(training.SkewConfig, cfg, "skew_", mode=f"skewed_{kind}", seed=cfg["seed"])
+    return _config(training.SkewConfig, cfg, "skew_", mode=f"skewed_{cfg['skew_kind']}",
+                   seed=cfg["seed"])
 
 
 def resolve_data(cfg: dict):
@@ -197,8 +189,6 @@ def resolve_data(cfg: dict):
         if not cfg["train_path"] or not cfg["dev_path"]:
             raise ConfigError("jsonl data needs train_path and dev_path")
         domain = cfg["domain"]
-        if domain is None:
-            raise ConfigError("jsonl data needs a domain (beer or hotel)")
         train = data.load_reviews(
             cfg["train_path"], cfg["aspect"], domain, split="train", seed=cfg["seed"]
         )
@@ -389,22 +379,15 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
     gen_rates = _parse_list(args.gen_rates, "--gen-rates", float)
     pred_rates = _parse_list(args.pred_rates, "--pred-rates", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    if cfg["share_depth"] != 0:
-        raise ConfigError(
-            f"the grid runs the two-phase model only; the config sets share_depth = "
-            f"{cfg['share_depth']} (unset it or set it to 0)"
-        )
     for flag, names in (("--gen-rates", [f"{v:g}" for v in gen_rates]),
                         ("--pred-rates", [f"{v:g}" for v in pred_rates]),
                         ("--seeds", [str(v) for v in seeds])):
         if len(set(names)) < len(names):  # as cell directories spell them, two would share one
             raise ConfigError(f"{flag} repeats a value: {','.join(names)}")
     model_cfg, base_cfg = _model_config(cfg), _train_config(cfg)
-    for lr_gen, lr_pred, seed in itertools.product(gen_rates, pred_rates, seeds):
-        _train_config(dict(cfg, lr_gen=lr_gen, lr_pred=lr_pred, seed=seed))  # before any write
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
-    if splits.annotation is None:
-        raise ConfigError("the grid needs an annotation split to score F1")
+    with _as_config_error():  # before any write
+        training.grid_cells(model_cfg, splits, base_cfg, gen_rates, pred_rates, seeds)
     out_dir = _run_dir(args, cfg, "grid")
     write_manifest(out_dir, "grid", argv, cfg, ("grid_csv", "grid_txt", "grid_json"),
                    extra={"grid": {"gen_rates": gen_rates, "pred_rates": pred_rates,

@@ -81,8 +81,8 @@ class ModelConfig:
             raise ValueError(
                 f"share_depth must lie in [0, {self.num_layers}], got {self.share_depth}"
             )
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.hidden_dim % 2:
             raise ValueError("hidden_dim must be even: it is split between two directions")
 
@@ -516,8 +516,6 @@ def _sample(
 ) -> MaskSample:
     """Draw a mask: train mode perturbs `logits` (`probs` is not read), eval
     thresholds `probs`."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     if mode == "train":
         if rng is None:
             raise ValueError("train-mode sampling requires a noise source")
@@ -550,6 +548,8 @@ def sample_mask(
     two-way softmax at `temperature`; the hard mask is the argmax category, so
     its marginal is exactly Bernoulli(p).  Eval mode thresholds at p > 0.5.
     """
+    if not 0 < temperature < np.inf:
+        raise ValueError("temperature must be positive and finite")
     probs = np.asarray(probs, dtype=np.float64)
     if pad_mask is not None:
         probs = probs * pad_mask

@@ -25,8 +25,8 @@ class ObjectiveConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("regularizer weights must be non-negative")
+        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
+            raise ValueError("regularizer weights must be non-negative and finite")
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

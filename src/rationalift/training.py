@@ -43,10 +43,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (0 < self.lr_gen < math.inf and 0 < self.lr_pred < math.inf):
             raise ValueError("learning rates must be positive and finite")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.delta_sparsity < math.inf:
+            raise ValueError(f"delta_sparsity must be >= 0 and finite, got {self.delta_sparsity}")
 
 
 @dataclass(frozen=True)
@@ -244,8 +248,6 @@ def train(
     deterministic given the config seed, however many CPUs are free: an
     evaluation only reads the weights.
     """
-    if cfg.epochs == 0:
-        return params, []
     for dataset in (splits.dev, splits.annotation):
         if dataset is not None:  # encoded once here, not in every annotation child
             dataset.token_ids(params.vocab)
@@ -503,6 +505,28 @@ def _map_forked(job: Callable, items: Sequence, role: str) -> list:
     return [results[k] for k in range(n)]
 
 
+def grid_cells(model_cfg: mdl.ModelConfig, splits: Splits, base_cfg: TrainConfig,
+               gen_rates: Sequence[float], pred_rates: Sequence[float],
+               seeds: Sequence[int]) -> list[tuple[int, int, TrainConfig]]:
+    """The grid's runs as (gen_rates index, pred_rates index, config), in sweep
+    order.  Raises ValueError, before any run trains, for a model that shares
+    an encoder layer, an empty or repeating list, a missing annotation split or
+    a run's config that TrainConfig rejects."""
+    if model_cfg.share_depth != 0:
+        raise ValueError(f"the learning-rate grid runs the two-phase model only: share_depth "
+                         f"must be 0, got {model_cfg.share_depth}")
+    if not gen_rates or not pred_rates or not seeds:
+        raise ValueError("rate and seed lists must be non-empty")
+    for name, values in (("gen_rates", gen_rates), ("pred_rates", pred_rates), ("seeds", seeds)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} repeats a value: {list(values)}")
+    if splits.annotation is None:
+        raise ValueError("the learning-rate grid needs an annotation split to score F1")
+    return [(i, j, replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed))
+            for i, lg in enumerate(gen_rates) for j, lp in enumerate(pred_rates)
+            for seed in seeds]
+
+
 def lr_grid(
     model_cfg: mdl.ModelConfig,
     vocab,
@@ -522,23 +546,10 @@ def lr_grid(
     F1; the CLI passes one that also resumes and writes the run's artifacts.
     The runs are `_map_forked` jobs, so `run_cell` may run in a forked worker
     and only its returned F1 comes back: side effects of `run_cell` are lost.
-    Results equal a sequential sweep's, bit for bit.
+    Results equal a sequential sweep's, bit for bit.  `grid_cells` checks the
+    grid before any run trains.
     """
-    if model_cfg.share_depth != 0:
-        raise ValueError("the learning-rate grid is defined for the two-phase baseline")
-    if not gen_rates or not pred_rates or not seeds:
-        raise ValueError("rate and seed lists must be non-empty")
-    for name, values in (("gen_rates", gen_rates), ("pred_rates", pred_rates), ("seeds", seeds)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} repeats a value: {list(values)}")
-    if splits.annotation is None:
-        raise ValueError("an annotation split is required to score grid cells")
-    if base_cfg.epochs < 1:
-        raise ValueError(f"a grid cell trains at least one epoch, got epochs={base_cfg.epochs}")
-    # every cell's config is checked here, before any cell trains
-    jobs = [(i, j, replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed))
-            for i, lg in enumerate(gen_rates) for j, lp in enumerate(pred_rates)
-            for seed in seeds]
+    jobs = grid_cells(model_cfg, splits, base_cfg, gen_rates, pred_rates, seeds)
 
     def score(job: tuple[int, int, TrainConfig]) -> float:
         _, _, cfg = job

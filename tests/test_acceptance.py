@@ -5,9 +5,9 @@ Criteria 5-8 train real (desk-scale) models on synthetic corpora; everything is
 deterministic given the seeds baked in below and the single BLAS thread that
 `conftest.py` pins.
 
-Cost: the whole tier-1 run (this module and the unit tests) took 553 s on a
-2-vCPU VM (criterion 6 257 s, the skewed-predictor analogue 111 s, criterion 7
-126 s, the criterion-5 fixture 47 s).  Criteria 5 and 6 and the analogue send
+Cost: the whole tier-1 run (this module and the unit tests) took 277 s on a
+2-vCPU VM (criterion 6 125 s, criterion 7 58 s, the skewed-predictor analogue
+53 s, the criterion-5 fixture 23 s).  Criteria 5 and 6 and the analogue send
 their independent training runs to `WORKERS` processes, one per core;
 criterion 7's grid goes through `lr_grid`, which runs its cells on one process
 per available CPU itself.  The wall-clock bounds inside the tests

@@ -78,6 +78,35 @@ class TestConfigFile:
             assert line.split()[0] in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["false", "no", "0", "off"])
+    def test_false_train_embedding_freezes_table(self, tmp_path, raw):
+        path = tmp_path / "frozen.cfg"
+        path.write_text(TINY_SYNTH + f"train_embedding = {raw}\nseed = 2\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["resolved_config"][
+            "train_embedding"] is False
+        params, _ = mdl.load_checkpoint(out / "checkpoint.npz")
+        initial = mdl.build_model(params.config, params.vocab, seed=2)
+        assert np.array_equal(params.embedding.value, initial.embedding.value)
+
+    def test_unparsable_boolean_names_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_SYNTH + "train_embedding = maybe\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert "train_embedding" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_none_accepted_by_key_without_default(self, tmp_path):
+        path = tmp_path / "none.cfg"
+        path.write_text(TINY_SYNTH + "embeddings_path = none\n")
+        assert cli.read_config_file(path)["embeddings_path"] is None
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["resolved_config"][
+            "embeddings_path"] is None
+
     def test_every_key_is_read(self):
         """Each key feeds a field of a config object (`synth_`- and `skew_`-keys
         with their prefix) or is one of the data and CLI keys below, so a key
@@ -472,6 +501,26 @@ class TestExitCodes:
                                 "--out", str(out)])
         assert code == 2
         assert "epochs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_delta_sparsity_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "band.cfg"
+        path.write_text(TINY_SYNTH + "delta_sparsity = -1\n")
+        out = tmp_path / "bad"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert "delta_sparsity" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jsonl_without_domain_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"label": k % 2, "text": f"w{k % 3} beer"}) + "\n"
+                                  for k in range(8)))
+        config = tmp_path / "jsonl.cfg"
+        config.write_text(f"data = jsonl\naspect = aroma\nepochs = 1\n"
+                          f"train_path = {corpus}\ndev_path = {corpus}\n")
+        out = tmp_path / "bad"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert "domain" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_train_config_exits_2(self, synth_cfg, tmp_path, capsys):

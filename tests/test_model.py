@@ -110,6 +110,27 @@ class TestBuildModel:
         assert np.all(params.embedding.value[PAD_ID] == 0)
         assert np.all(params.embedding.value[MASK_ID] == 0)
 
+    def test_given_embeddings_copied_with_reserved_rows_zeroed(self, tiny_world):
+        _, _, vocab = tiny_world
+        table = np.random.default_rng(4).normal(size=(len(vocab), 4))
+        given = table.copy()
+        params = build_model(ModelConfig(embedding_dim=4, hidden_dim=6), vocab,
+                             embeddings=given, seed=0)
+        assert np.array_equal(given, table)  # the caller's rows, PAD and MASK too, are kept
+        expected = table.copy()
+        expected[[PAD_ID, MASK_ID]] = 0.0
+        assert np.array_equal(params.embedding.value, expected)
+        params.embedding.value += 1.0  # a step moves the model's table only
+        assert np.array_equal(given, table)
+
+    @pytest.mark.parametrize("extra_rows, dim", [(-1, 4), (1, 4), (0, 5)],
+                             ids=["fewer-rows", "more-rows", "dim"])
+    def test_given_embeddings_of_wrong_shape_rejected(self, tiny_world, extra_rows, dim):
+        _, _, vocab = tiny_world
+        table = np.zeros((len(vocab) + extra_rows, dim))
+        with pytest.raises(ValueError, match="does not match"):
+            build_model(ModelConfig(embedding_dim=4, hidden_dim=6), vocab, embeddings=table)
+
 
 class TestParamCount:
     def _counts(self, vocab, share_depth, num_layers=2):
@@ -495,6 +516,16 @@ class TestGeneratorProbs:
 
 
 class TestSampleMask:
+    @pytest.mark.parametrize("temperature", [0.0, float("nan"), float("inf")],
+                             ids=["zero", "nan", "inf"])
+    @pytest.mark.parametrize("make", [
+        lambda t: ModelConfig(temperature=t),
+        lambda t: sample_mask(np.array([[0.5]]), t, noise_seed=0),
+    ], ids=["config", "sample_mask"])
+    def test_bad_temperature_rejected(self, make, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            make(temperature)
+
     def test_eval_threshold_strict(self):
         s = sample_mask(np.array([[0.9, 0.3, 0.5]]), 1.0, mode="eval")
         assert s.hard_mask.tolist() == [[1.0, 0.0, 0.0]]

@@ -195,6 +195,14 @@ class TestTotalLoss:
         assert dmask[0, 2] == pytest.approx((total_up - total_dn) / (2 * eps), rel=1e-4)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0],
+                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("key", ["lambda1", "lambda2"])
+def test_bad_regularizer_weight_rejected(key, value):
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        ObjectiveConfig(**{key: value})
+
+
 def test_softmax_normalizes():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(10, 2)) * 30

@@ -97,15 +97,11 @@ class TestAdam:
 
 
 class TestTrain:
-    def test_zero_epochs_identity(self, small_world):
-        _, splits, vocab = small_world
-        params = _model(vocab)
-        before = params.state_dict()
-        best, history = train(params, splits, _train_cfg(epochs=0))
-        assert history == []
-        assert best is params
-        for k, v in best.state_dict().items():
-            assert np.array_equal(v, before[k])
+    def test_zero_epochs_rejected(self):
+        # a run with no epochs has no epoch to select
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match=f"epochs must be at least 1, got {epochs}"):
+                _train_cfg(epochs=epochs)
 
     def test_deterministic_given_seed(self, small_world):
         _, splits, vocab = small_world
@@ -330,10 +326,17 @@ class TestSkewPretraining:
         lambda rate: TrainConfig(lr_gen=rate),
         lambda rate: TrainConfig(lr_pred=rate),
         lambda rate: SkewConfig(mode="skewed_predictor", k=1, lr=rate),
-    ], ids=["lr_gen", "lr_pred", "skew_lr"])
+        lambda rate: TrainConfig(delta_sparsity=rate),
+    ], ids=["lr_gen", "lr_pred", "skew_lr", "delta_sparsity"])
     def test_non_finite_rate_rejected(self, make, rate):
         with pytest.raises(ValueError, match="finite"):
             make(rate)
+
+    def test_negative_delta_sparsity_rejected(self):
+        # it would put every epoch out of band, and the selection would
+        # silently fall back to the closest-sparsity epoch
+        with pytest.raises(ValueError, match="delta_sparsity must be >= 0"):
+            TrainConfig(delta_sparsity=-1.0)
 
     @pytest.mark.parametrize("make", [
         lambda: TrainConfig(seed=-1),
@@ -408,13 +411,17 @@ class TestLrGrid:
         with pytest.raises(ValueError, match="non-empty"):
             lr_grid(mcfg, vocab, splits, _train_cfg(), [], [1e-3], [0])
 
-    def test_zero_epochs_rejected_before_any_cell(self, small_world, monkeypatch):
-        # a cell with no epochs has no history to score
+    def test_annotation_split_required(self, small_world):
         _, splits, vocab = small_world
-        monkeypatch.setattr(mdl, "build_model", lambda *a, **k: pytest.fail("cell built"))
-        with pytest.raises(ValueError, match="at least one epoch"):
-            lr_grid(GRID_MODEL, vocab, splits, replace(GRID_TRAIN, epochs=0), [1e-3], [1e-3],
-                    [0])
+        with pytest.raises(ValueError, match="needs an annotation split"):
+            lr_grid(GRID_MODEL, vocab, replace(splits, annotation=None), GRID_TRAIN, [1e-3],
+                    [1e-3], [0])
+
+    def test_zero_epochs_rejected_before_any_cell(self):
+        # a cell with no epochs has no history to score; its base config
+        # cannot be built
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            replace(GRID_TRAIN, epochs=0)
 
 
     @pytest.mark.parametrize("rates, seeds, name", [
