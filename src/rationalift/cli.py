@@ -11,7 +11,8 @@ run can be replayed without the original shell invocation.
 Each command takes only the flags it reads (see `build_parser`), so a flag it
 would ignore exits 2: grid cells are two-phase (a config's share_depth other
 than 0 exits 2 too), with rates from --gen-rates and --pred-rates, and eval and
-probe read only a config's corpus keys.
+probe read only a config's corpus keys.  A given share_depth must agree with a
+set mode: --mode fr means share_depth = num_layers, --mode rnp and grid 0.
 
 Exit codes: 0 ok, 2 usage, config or corpus error (ConfigError, CorpusError,
 FileNotFoundError), 3 training failure (DivergenceError: a non-finite loss or
@@ -45,7 +46,7 @@ class ConfigError(ValueError):
 # the keys with a default of their own: those that feed no defaulted
 # config-object field, and share_depth, whose None follows --mode
 _OWN_KEYS: dict[str, tuple[type, object]] = {
-    "share_depth": (int, None),  # None -> num_layers (folded) unless --mode rnp
+    "share_depth": (int, None),  # None -> the mode's preset: num_layers (fr) or 0 (rnp)
     "skew_kind": (str, None),
     "skew_k": (float, None),
     "data": (str, "synth"),
@@ -130,17 +131,19 @@ def read_config_file(path: str | Path) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults, then the config file, then each parsed flag whose dest is a
-    config key and that was given."""
+    config key and that was given.  A set mode (--mode, or the grid's rnp)
+    presets share_depth, and a share_depth given that differs is a ConfigError."""
     cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
     if getattr(args, "config", None):
         cfg.update(read_config_file(args.config))
     cfg.update({k: v for k, v in vars(args).items() if k in CONFIG_SCHEMA and v is not None})
     mode = getattr(args, "mode", None)
+    preset = 0 if mode == "rnp" else cfg["num_layers"]  # fr is the default
     if cfg["share_depth"] is None:
-        if mode == "rnp":
-            cfg["share_depth"] = 0
-        else:  # fr is the default
-            cfg["share_depth"] = cfg["num_layers"]
+        cfg["share_depth"] = preset
+    elif mode is not None and cfg["share_depth"] != preset:
+        raise ConfigError(f"share_depth = {cfg['share_depth']} conflicts with mode {mode}, "
+                          f"which sets share_depth = {preset}")
     cfg["mode"] = "rnp" if cfg["share_depth"] == 0 else (
         "fr" if cfg["share_depth"] == cfg["num_layers"] else f"partial{cfg['share_depth']}"
     )

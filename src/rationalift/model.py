@@ -359,6 +359,11 @@ class Linear:
         return x @ self.W.value.T + self.b.value
 
 
+def _parameters(modules: Sequence) -> list[Parameter]:
+    """The parameters of `modules`, in order."""
+    return [p for module in modules for p in module.parameters()]
+
+
 @dataclass
 class ModelParams:
     """All trainable state.  pred_layers[i] *is* gen_layers[i] for the shared prefix."""
@@ -374,32 +379,20 @@ class ModelParams:
     def partitions(self) -> dict[str, list[Parameter]]:
         """Exhaustive, disjoint split of trainable parameters by owner."""
         sd = self.config.share_depth
-        shared: list[Parameter] = []
-        if self.config.train_embedding:
-            shared.append(self.embedding)
-        gen: list[Parameter] = []
-        pred: list[Parameter] = []
-        for i, layer in enumerate(self.gen_layers):
-            (shared if i < sd else gen).extend(layer.parameters())
-        for i, layer in enumerate(self.pred_layers):
-            if i >= sd:
-                pred.extend(layer.parameters())
-        gen.extend(self.gen_head.parameters())
-        pred.extend(self.pred_head.parameters())
+        shared = [self.embedding] if self.config.train_embedding else []
+        shared += _parameters(self.gen_layers[:sd])
+        gen = _parameters([*self.gen_layers[sd:], self.gen_head])
+        pred = _parameters([*self.pred_layers[sd:], self.pred_head])
         ids = [id(p) for part in (shared, gen, pred) for p in part]
         if len(ids) != len(set(ids)):
             raise AssertionError("parameter partition is not disjoint")
         return {"shared": shared, "generator": gen, "predictor": pred}
 
     def all_parameters(self) -> list[Parameter]:
-        """Unique parameters, embedding included even when frozen."""
-        seen: dict[int, Parameter] = {}
-        for p in [self.embedding, *self.gen_head.parameters(), *self.pred_head.parameters()]:
-            seen.setdefault(id(p), p)
-        for layer in [*self.gen_layers, *self.pred_layers]:
-            for p in layer.parameters():
-                seen.setdefault(id(p), p)
-        return list(seen.values())
+        """Each parameter once, embedding included even when frozen."""
+        return [self.embedding, *_parameters(
+            [self.gen_head, self.pred_head, *self.gen_layers,
+             *self.pred_layers[self.config.share_depth:]])]
 
     def zero_grads(self) -> None:
         for p in self.all_parameters():
@@ -439,28 +432,19 @@ def build_model(
     embedding = Parameter("embedding", table)
 
     dims = [cfg.embedding_dim] + [cfg.hidden_dim] * (cfg.num_layers - 1)
-    direction_dim = cfg.hidden_dim // 2
-    gen_layers: list[BiGRULayer] = []
-    pred_layers: list[BiGRULayer] = []
-    for i in range(cfg.num_layers):
-        prefix = "enc_shared" if i < cfg.share_depth else "enc_gen"
-        gen_layers.append(BiGRULayer(f"{prefix}.l{i}", dims[i], direction_dim, rng))
-    for i in range(cfg.num_layers):
-        if i < cfg.share_depth:
-            pred_layers.append(gen_layers[i])
-        else:
-            pred_layers.append(BiGRULayer(f"enc_pred.l{i}", dims[i], direction_dim, rng))
+
+    def layers(prefix: str, depths: range) -> list[BiGRULayer]:
+        return [BiGRULayer(f"{prefix}.l{i}", dims[i], cfg.hidden_dim // 2, rng) for i in depths]
+
+    # this draw order (shared, generator-own, predictor-own) fixes each seed's weights
+    shared = layers("enc_shared", range(cfg.share_depth))
+    own = range(cfg.share_depth, cfg.num_layers)
+    gen_layers = shared + layers("enc_gen", own)
+    pred_layers = shared + layers("enc_pred", own)
     gen_head = Linear("gen_head", cfg.hidden_dim, 1, rng)
     pred_head = Linear("pred_head", cfg.hidden_dim, NUM_CLASSES, rng)
-    params = ModelParams(
-        config=cfg,
-        vocab=vocab,
-        embedding=embedding,
-        gen_layers=gen_layers,
-        pred_layers=pred_layers,
-        gen_head=gen_head,
-        pred_head=pred_head,
-    )
+    params = ModelParams(config=cfg, vocab=vocab, embedding=embedding, gen_layers=gen_layers,
+                         pred_layers=pred_layers, gen_head=gen_head, pred_head=pred_head)
     params.partitions()  # asserts the partition is disjoint
     return params
 
@@ -747,9 +731,7 @@ def param_count(params: ModelParams) -> dict[str, int]:
     counts["total_excluding_embedding"] = counts["total"] - (
         counts["embedding"] if embedding_trainable else 0
     )
-    counts["encoder_stack"] = sum(
-        p.size for layer in params.gen_layers for p in layer.parameters()
-    )
+    counts["encoder_stack"] = sum(p.size for p in _parameters(params.gen_layers))
     return counts
 
 

@@ -195,15 +195,16 @@ def _epochs(
         yield results
 
 
-def select_model(history: TrainHistory, alpha: float, delta_sparsity: float = 0.05) -> int:
-    """Index of the chosen epoch: max dev accuracy within the sparsity band
-    (earliest on ties); if no epoch is in band, the closest-sparsity epoch."""
+def select_model(history: TrainHistory, cfg: TrainConfig) -> int:
+    """Index of the chosen epoch: max dev accuracy within `cfg.delta_sparsity`
+    of the sparsity target `cfg.objective.alpha` (earliest on ties); if no
+    epoch is in band, the closest-sparsity epoch."""
     if not history:
         raise ValueError("history is empty")
 
     def rank(record: EpochRecord) -> tuple:  # lower is better
-        dist = abs(record.dev_sparsity - alpha)
-        return (0, -record.dev_acc) if dist <= delta_sparsity else (1, dist)
+        dist = abs(record.dev_sparsity - cfg.objective.alpha)
+        return (0, -record.dev_acc) if dist <= cfg.delta_sparsity else (1, dist)
 
     # min keeps the first of equal ranks, so ties go to the earliest epoch
     return min(range(len(history)), key=lambda k: rank(history[k]))
@@ -282,7 +283,7 @@ def train(
         history.append(EpochRecord(epoch=epoch, train_ce=ce_sum / len(losses),
                                    train_omega=omega_sum / len(losses),
                                    train_loss=(ce_sum + omega_sum) / len(losses), **fields))
-        if select_model(history, cfg.objective.alpha, cfg.delta_sparsity) == len(history) - 1:
+        if select_model(history, cfg) == len(history) - 1:
             selected, best_state, best_run = history[-1], params.state_dict(), run
     selected.final_run = best_run
     best = mdl.build_model(params.config, params.vocab)

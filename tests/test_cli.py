@@ -199,7 +199,7 @@ class TestTrainCommand:
         records = [training.EpochRecord(**json.loads(line))
                    for line in (out / "metrics.jsonl").read_text().splitlines()]
         cfg = json.loads((out / "manifest.json").read_text())["resolved_config"]
-        assert training.select_model(records, cfg["alpha"], cfg["delta_sparsity"]) == selected
+        assert training.select_model(records, cli._train_config(cfg)) == selected
         params, _ = mdl.load_checkpoint(out / "checkpoint.npz")
         splits, _, _, _ = cli.resolve_data(cfg)
         fresh = tmp_path / "fresh"
@@ -575,6 +575,36 @@ class TestExitCodes:
                          "--pred-rates", "1e-3", "--epochs", "1", "--out", str(out)]) == 0
         resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
         assert (resolved["share_depth"], resolved["mode"]) == (0, "rnp")
+
+    # (config lines, flags): a share_depth that --mode's preset contradicts
+    @pytest.mark.parametrize("lines, flags", [
+        ("share_depth = 1\n", ["--mode", "rnp"]),
+        ("", ["--mode", "rnp", "--share-depth", "1"]),
+        ("num_layers = 2\nshare_depth = 1\n", ["--mode", "fr"]),
+    ], ids=["rnp-over-config", "rnp-with-flag", "fr-partial"])
+    def test_mode_conflicting_share_depth_exits_2(self, synth_cfg, tmp_path, capsys, lines,
+                                                  flags):
+        path = tmp_path / "conflict.cfg"
+        path.write_text(synth_cfg.read_text() + lines)
+        out = tmp_path / "bad"
+        assert cli.main(["train", "--config", str(path), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "share_depth" in err and f"mode {flags[1]}" in err
+        assert not out.exists() and not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("lines, flags, expected", [
+        ("share_depth = 0\n", ["--mode", "rnp"], (0, "rnp")),
+        ("", ["--mode", "rnp", "--share-depth", "0"], (0, "rnp")),
+        ("num_layers = 2\nshare_depth = 2\n", ["--mode", "fr"], (2, "fr")),
+    ], ids=["rnp-over-config", "rnp-with-flag", "fr-folded"])
+    def test_mode_agreeing_share_depth_runs(self, synth_cfg, tmp_path, lines, flags, expected):
+        path = tmp_path / "agree.cfg"
+        path.write_text(synth_cfg.read_text() + lines)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), *flags, "--epochs", "1",
+                         "--out", str(out)]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        assert (resolved["share_depth"], resolved["mode"]) == expected
 
     @pytest.mark.parametrize("case", ["missing-corpus", "unknown-token", "unknown-sentence"])
     def test_failed_probe_writes_nothing(self, synth_cfg, trained_checkpoint, tmp_path, case):

@@ -1,5 +1,6 @@
 """Model pipeline: shapes, sampling law, masking identities, gradients, persistence."""
 
+import hashlib
 import json
 import os
 import sys
@@ -130,6 +131,29 @@ class TestBuildModel:
         table = np.zeros((len(vocab) + extra_rows, dim))
         with pytest.raises(ValueError, match="does not match"):
             build_model(ModelConfig(embedding_dim=4, hidden_dim=6), vocab, embeddings=table)
+
+    # sha256 of the (name, bytes) list of all_parameters() at seed 5: pins each
+    # depth's initial values, names and order, which a loaded checkpoint overwrites
+    INITIAL_DIGESTS = {
+        0: "2ef79c2c3b9acb52bcf8d3e07864bf0eaee89be09a556b9f8073b753ef363a23",
+        1: "219cd7d775b23120fe2851398942082e12fd5ce3c73c3024486a29c6e6646f04",
+        2: "5199c7afa9e4e13392473faf67c595aa50cdecc4a6e97d33ef0bd910ffc6bd0c",
+    }
+
+    @pytest.mark.parametrize("train_embedding", [True, False], ids=["trained", "frozen"])
+    @pytest.mark.parametrize("share_depth", [0, 1, 2])
+    def test_initial_wiring_pinned(self, share_depth, train_embedding):
+        vocab = Vocabulary.from_tokens(["good", "bad", ".", ",", "smell", "taste"])
+        cfg = ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=2, share_depth=share_depth,
+                          train_embedding=train_embedding)
+        params = build_model(cfg, vocab, seed=5)
+        everything = params.all_parameters()
+        entries = [(p.name, p.value.tobytes()) for p in everything]
+        digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+        assert digest == self.INITIAL_DIGESTS[share_depth]
+        partitioned = [p for part in params.partitions().values() for p in part]
+        expected = [p for p in everything if train_embedding or p is not params.embedding]
+        assert sorted(map(id, partitioned)) == sorted(map(id, expected))
 
 
 class TestParamCount:

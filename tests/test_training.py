@@ -63,23 +63,23 @@ def _record(epoch, acc, sparsity):
 
 class TestSelectModel:
     def test_single_epoch(self):
-        assert select_model([_record(1, 0.9, 0.2)], alpha=0.2) == 0
+        assert select_model([_record(1, 0.9, 0.2)], _train_cfg()) == 0
 
     def test_tie_prefers_earliest(self):
         hist = [_record(1, 0.9, 0.2), _record(2, 0.9, 0.2)]
-        assert select_model(hist, alpha=0.2) == 0
+        assert select_model(hist, _train_cfg()) == 0
 
     def test_max_accuracy_within_band(self):
         hist = [_record(1, 0.7, 0.2), _record(2, 0.95, 0.22), _record(3, 0.9, 0.2)]
-        assert select_model(hist, alpha=0.2, delta_sparsity=0.05) == 1
+        assert select_model(hist, _train_cfg(delta_sparsity=0.05)) == 1
 
     def test_out_of_band_falls_back_to_closest_sparsity(self):
         hist = [_record(1, 0.99, 0.5), _record(2, 0.5, 0.35), _record(3, 0.7, 0.4)]
-        assert select_model(hist, alpha=0.2, delta_sparsity=0.05) == 1
+        assert select_model(hist, _train_cfg(delta_sparsity=0.05)) == 1
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            select_model([], alpha=0.2)
+            select_model([], _train_cfg())
 
 
 class TestAdam:
@@ -183,7 +183,7 @@ class TestTrain:
         cfg = _train_cfg(epochs=5, **kw)
         params = _model(vocab, seed=7)
         best, history = train(params, splits, cfg)
-        idx = select_model(history, cfg.objective.alpha, cfg.delta_sparsity)
+        idx = select_model(history, cfg)
         assert in_band == any(abs(r.dev_sparsity - 0.5) <= delta_sparsity for r in history)
         assert idx < cfg.epochs - 1  # the snapshot is not simply the final state
         params2 = _model(vocab, seed=7)
@@ -395,7 +395,7 @@ class TestLrGrid:
         cfg = _train_cfg(epochs=5, seed=3, lr_gen=2e-2, lr_pred=2e-2, delta_sparsity=0.4,
                          objective=obj.ObjectiveConfig(lambda1=1.0, lambda2=0.05, alpha=0.5))
         _, history = train(_model(vocab, seed=7), splits, cfg)
-        idx = select_model(history, cfg.objective.alpha, cfg.delta_sparsity)
+        idx = select_model(history, cfg)
         assert idx < cfg.epochs - 1 and history[idx].ann_f1 != history[-1].ann_f1
         assert training._score_cell(_model(vocab, seed=7), splits, cfg) == history[idx].ann_f1
 
@@ -667,7 +667,7 @@ class TestOverlappedEvaluation:
         cfg = _train_cfg(epochs=5, seed=3, lr_gen=2e-2, lr_pred=2e-2, delta_sparsity=0.4,
                          objective=obj.ObjectiveConfig(lambda1=1.0, lambda2=0.05, alpha=0.5))
         best, history = train(_model(vocab, seed=7), splits, cfg)
-        idx = select_model(history, cfg.objective.alpha, cfg.delta_sparsity)
+        idx = select_model(history, cfg)
         assert idx < cfg.epochs - 1
         assert [r.final_run is not None for r in history] == [k == idx for k in range(5)]
         run = history[idx].final_run
