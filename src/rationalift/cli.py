@@ -388,9 +388,11 @@ def cmd_grid(args: argparse.Namespace, argv: Sequence[str]) -> int:
         if len(set(names)) < len(names):  # as cell directories spell them, two would share one
             raise ConfigError(f"{flag} repeats a value: {','.join(names)}")
     model_cfg, base_cfg = _model_config(cfg), _train_config(cfg)
+    with _as_config_error():  # before the data is read
+        training.grid_cells(model_cfg, base_cfg, gen_rates, pred_rates, seeds)
     splits, vocab, embeddings, token_classes = resolve_data(cfg)
     with _as_config_error():  # before any write
-        training.grid_cells(model_cfg, splits, base_cfg, gen_rates, pred_rates, seeds)
+        training.check_grid_splits(splits)
     out_dir = _run_dir(args, cfg, "grid")
     write_manifest(out_dir, "grid", argv, cfg, ("grid_csv", "grid_txt", "grid_json"),
                    extra={"grid": {"gen_rates": gen_rates, "pred_rates": pred_rates,

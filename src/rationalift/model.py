@@ -15,11 +15,15 @@ All gradients are computed explicitly; `loss_and_grads` accumulates into each
 Parameter's `.grad`.  `BiGRULayer` runs a layer's two GRU directions (see its
 docstring for the step loop and `_run_directions` for the helper thread);
 forwards that need no gradient (`with_cache=False`, the default of `encode`
-and `forward`) keep no per-step state.
+and `forward`) keep no per-step state.  A training step holds each activation
+once: a layer's cache keeps only what the layer computed, and the backward
+rebuilds the layer inputs, the embedding rows and the generator states, by
+the forward's own operations, where it reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -149,8 +153,12 @@ class BiGRULayer:
     L-1-s of `bw`.  Per-step arrays carry a leading direction axis, so each
     step's recurrent GEMMs are one batched matmul over the pair; on large
     steps the two directions run on two threads (`_run_directions`).  Padded
-    steps hold the previous state.  The gate cache is (2, B, L, 3H), as the
-    input GEMMs write and read it; the loops use per-step views of it.
+    steps hold the previous state.  The cache holds what the layer computed
+    and nothing else: the gates, (2, B, L, 3H) as the input GEMMs write and
+    read them, the per-step states `hs` and the recurrent n pre-activations
+    `pre_hn`; the loops use per-step views of them.  The layer's input and
+    output are not cached: `backward` is handed its input, and the output is
+    `_layer_output(hs, pad_mask)`.
     """
 
     def __init__(self, name: str, input_dim: int, direction_dim: int, rng: np.random.Generator):
@@ -185,28 +193,26 @@ class BiGRULayer:
                            hold[:, d], None if pre_hn is None else pre_hn[:, d])
 
         _run_directions(run, B * H)
-        out = np.empty((B, L, 2 * H))
-        out_steps = out.reshape(B, L, 2, H).transpose(1, 2, 0, 3)  # (L, 2, B, H) view
-        out_steps[:, 0] = hs[1:, 0]
-        out_steps[:, 1] = hs[:0:-1, 1]
-        out *= pad_mask[:, :, None]
-        if not with_cache:
-            return out, None
-        return out, {"x": x, "gates": gates, "hs": hs, "pre_hn": pre_hn}
+        cache = {"gates": gates, "hs": hs, "pre_hn": pre_hn} if with_cache else None
+        return _layer_output(hs, pad_mask), cache
 
-    def backward(self, cache: dict, dout: np.ndarray, pad_mask: np.ndarray) -> np.ndarray:
+    def backward(self, cache: dict, dout: np.ndarray, pad_mask: np.ndarray,
+                 inputs: Callable[[], np.ndarray]) -> np.ndarray:
         """Gradient with respect to the layer input; parameter gradients
         accumulate into `.grad`.
 
-        `dout` is consumed: its padded positions are zeroed in place (unless
-        it is not C-contiguous).  A cache serves one backward: its gates are
-        overwritten with the input-side gate gradients, which the input GEMMs
-        read in place, and it is emptied on entry, so a second call raises.
+        `inputs()` returns the layer's input, the array `forward` got; it is
+        called once, after the step loop has freed the per-step states, so the
+        caller need not hold the input across the loop.  `dout` is consumed:
+        its padded positions are zeroed in place (unless it is not
+        C-contiguous).  A cache serves one backward: its gates are overwritten
+        with the input-side gate gradients, which the input GEMMs read in
+        place, and it is emptied on entry, so a second call raises.
         """
         if not cache:
             raise RuntimeError("this cache has served a backward pass already; run forward again")
-        x, gates, hs, pre_hn = (cache.pop(key) for key in ("x", "gates", "hs", "pre_hn"))
-        B, L, _ = x.shape
+        gates, hs, pre_hn = (cache.pop(key) for key in ("gates", "hs", "pre_hn"))
+        B, L = pad_mask.shape
         H = self.fw.hidden
         dout = np.ascontiguousarray(dout)
         dout *= pad_mask[:, :, None]
@@ -225,6 +231,7 @@ class BiGRULayer:
         for k, direction in enumerate((self.fw, self.bw)):
             direction.U.grad += dU[k]
             direction.b_hh.grad += db_hh[k]
+        x = inputs()
         # `dx` is allocated here, as memory a helper thread allocates stays in
         # its own malloc arena (12 MB more peak RSS at L=256, H=100, B=64)
         dx = np.empty((2,) + x.shape)
@@ -235,6 +242,19 @@ class BiGRULayer:
 
         _run_directions(run, B * H)
         return dx[0] + dx[1]
+
+
+def _layer_output(hs: np.ndarray, pad_mask: np.ndarray) -> np.ndarray:
+    """A layer's (B, L, 2H) output, [forward ; backward] per token and zero at
+    padding, from its (L + 1, 2, B, H) per-step states."""
+    _, _, B, H = hs.shape
+    L = pad_mask.shape[1]
+    out = np.empty((B, L, 2 * H))
+    out_steps = out.reshape(B, L, 2, H).transpose(1, 2, 0, 3)  # (L, 2, B, H) view
+    out_steps[:, 0] = hs[1:, 0]
+    out_steps[:, 1] = hs[:0:-1, 1]
+    out *= pad_mask[:, :, None]
+    return out
 
 
 # Indexes the direction axis of the per-step arrays, (L, 2, B, ...), keeping
@@ -331,7 +351,8 @@ def _backward_steps(gates, hs, pre_hn, dout, mask, hold, U, dU, db_hh) -> None:
         g[..., 2 * H :] = dan
         dU += np.matmul(np.swapaxes(dpre_h, -1, -2), h_prev)
         db_hh += dpre_h.sum(axis=-2)
-        dh = dh_prev + np.matmul(dpre_h, U)
+        if s:  # the state entering step 0 is the constant zero: nothing reads its gradient
+            dh = dh_prev + np.matmul(dpre_h, U)
 
 
 def _input_grads(direction: GRUDirection, dpre_x: np.ndarray, x: np.ndarray,
@@ -458,7 +479,8 @@ def encode(layers: Sequence[BiGRULayer], x: np.ndarray, pad_mask: np.ndarray,
            with_cache: bool = False):
     """Per-token states from a stacked bidirectional encoder, and the
     per-layer caches for `_encode_backward`; the caches are None without
-    `with_cache`, and then no layer keeps per-step state."""
+    `with_cache`, and then no layer keeps per-step state.  The caches hold
+    neither `x` nor any layer's output: `_encode_backward` rebuilds those."""
     caches = []
     for layer in layers:
         x, cache = layer.forward(x, pad_mask, with_cache=with_cache)
@@ -466,12 +488,15 @@ def encode(layers: Sequence[BiGRULayer], x: np.ndarray, pad_mask: np.ndarray,
     return x, caches if with_cache else None
 
 
-def _encode_backward(
-    layers: Sequence[BiGRULayer], caches: list, dstates: np.ndarray, pad_mask: np.ndarray
-) -> np.ndarray:
+def _encode_backward(layers: Sequence[BiGRULayer], caches: list, dstates: np.ndarray,
+                     pad_mask: np.ndarray, inputs: Callable[[], np.ndarray]) -> np.ndarray:
+    """d(loss)/d(encoder input) from the top layer's state gradients.  The
+    first layer reads its input from `inputs()`; each upper layer's input is
+    the output of the layer below, rebuilt from that layer's cached states."""
     dx = dstates
-    for layer, cache in zip(reversed(layers), reversed(caches)):
-        dx = layer.backward(cache, dx, pad_mask)
+    for i in range(len(layers) - 1, -1, -1):
+        below = functools.partial(_layer_output, caches[i - 1]["hs"], pad_mask) if i else inputs
+        dx = layers[i].backward(caches[i], dx, pad_mask, below)
     return dx
 
 
@@ -561,7 +586,8 @@ def pool_max(states: np.ndarray, pad_mask: np.ndarray, with_cache: bool = False)
     pooled = states.max(axis=1)
     empty = pad_mask.sum(axis=1) == 0
     if with_cache:
-        first = (states == pooled[:, None, :]) | np.isnan(states)  # a NaN max is the first NaN
+        first = states == pooled[:, None, :]
+        first |= np.isnan(states)  # a NaN max is the first NaN
         cache = {"argmax": first.argmax(axis=1), "empty": empty, "shape": states.shape}
     pooled[empty] = 0.0
     return (pooled, cache) if with_cache else pooled
@@ -580,11 +606,12 @@ def _pool_max_backward(cache: dict, dpooled: np.ndarray) -> np.ndarray:
 def _generator(params: ModelParams, token_ids: np.ndarray, pad_mask: np.ndarray,
                with_cache: bool):
     """The generator view: embed, encode, score each token.  Returns the
-    embedded tokens, the (B, L) selection logits, the states and, with
-    `with_cache`, the encoder caches for `_encode_backward` (else None)."""
+    embedded tokens, the (B, L) selection logits and, with `with_cache`, the
+    encoder caches for `_encode_backward` (else None); the states are
+    `_layer_output` of the last cache's `hs`."""
     embedded = params.embedding.value[token_ids]
     states, caches = encode(params.gen_layers, embedded, pad_mask, with_cache)
-    return embedded, params.gen_head.forward(states)[..., 0], states, caches
+    return embedded, params.gen_head.forward(states)[..., 0], caches
 
 
 def _predictor(params: ModelParams, masked_embedded: np.ndarray, pad_mask: np.ndarray,
@@ -600,15 +627,15 @@ def _predictor(params: ModelParams, masked_embedded: np.ndarray, pad_mask: np.nd
     return params.pred_head.forward(pooled), cache
 
 
-def _predictor_backward(
-    params: ModelParams, cache: dict, dlogits: np.ndarray, pad_mask: np.ndarray
-) -> np.ndarray:
+def _predictor_backward(params: ModelParams, cache: dict, dlogits: np.ndarray,
+                        pad_mask: np.ndarray, inputs: Callable[[], np.ndarray]) -> np.ndarray:
     """Accumulate the predictor view's gradients from the (B, classes) logit
-    gradients; returns d(loss)/d(masked embeddings)."""
+    gradients; returns d(loss)/d(masked embeddings).  `inputs()` rebuilds the
+    masked embeddings the forward read (see `_encode_backward`)."""
     params.pred_head.W.grad += dlogits.T @ cache["pooled"]
     params.pred_head.b.grad += dlogits.sum(axis=0)
     dstates = _pool_max_backward(cache["pool"], dlogits @ params.pred_head.W.value)
-    return _encode_backward(params.pred_layers, cache["encoder"], dstates, pad_mask)
+    return _encode_backward(params.pred_layers, cache["encoder"], dstates, pad_mask, inputs)
 
 
 def predict(params: ModelParams, masked_embedded: np.ndarray, pad_mask: np.ndarray) -> np.ndarray:
@@ -636,23 +663,22 @@ def forward(
     original tokens' embeddings masked, then the predictor view (`_predictor`).
 
     `mask_forward` = "soft" consumes the relaxed mask downstream, which makes
-    the loss differentiable end-to-end for gradient checking.
+    the loss differentiable end-to-end for gradient checking.  With
+    `with_cache`, the cache is the two views' encoder caches and the
+    predictor's pooling cache, and holds no encoder input or output.
     """
     if mask_forward not in ("hard", "soft"):
         raise ValueError("mask_forward must be 'hard' or 'soft'")
-    emb_full, gen_logits, gen_states, gen_caches = _generator(params, batch.token_ids,
-                                                               batch.pad_mask, with_cache)
+    emb_full, gen_logits, gen_caches = _generator(params, batch.token_ids, batch.pad_mask,
+                                                  with_cache)
     probs = sigmoid(gen_logits) if mode == "eval" else None
     sample = _sample(probs, gen_logits, params.config.temperature, mode, _noise_source(noise),
                      batch.pad_mask)
     mask_values = sample.hard_mask if mask_forward == "hard" else sample.soft_mask
-    logits, pred_cache = _predictor(
-        params, apply_mask(emb_full, mask_values), batch.pad_mask, with_cache
-    )
-    cache = None
-    if with_cache:
-        cache = {"emb_full": emb_full, "gen_caches": gen_caches, "gen_states": gen_states,
-                 "predictor": pred_cache}
+    masked = apply_mask(emb_full, mask_values)
+    del emb_full  # not held across the predictor pass: `loss_and_grads` gathers it again
+    logits, pred_cache = _predictor(params, masked, batch.pad_mask, with_cache)
+    cache = {"gen_caches": gen_caches, "predictor": pred_cache} if with_cache else None
     return ForwardResult(logits=logits, mask=sample, mask_values=mask_values, cache=cache)
 
 
@@ -694,6 +720,10 @@ def loss_and_grads(
     The mask gradient follows the straight-through contract: downstream
     sensitivities are taken at the forward mask values, and the path into the
     generator uses the relaxed sample's derivative at the same noise draw.
+
+    The step holds the two views' encoder caches and nothing it can rebuild:
+    the embedding rows, their masked copy and the generator states are
+    recomputed, by the forward's own operations, where the backward reads them.
     """
     out = forward(params, batch, mode="train", noise=noise, mask_forward=mask_forward,
                   with_cache=True)
@@ -701,16 +731,23 @@ def loss_and_grads(
     assert cache is not None
     ce, dlogits = obj.cross_entropy_grad(out.logits, batch.labels)
     omega, dmask_reg = obj.sparsity_coherence_grad(out.mask_values, batch.lengths, objective_cfg)
-    demb_masked = _predictor_backward(params, cache["predictor"], dlogits, batch.pad_mask)
+
+    # the rows are gathered once, when the predictor's input gradients first read them
+    embedded = functools.cache(lambda: params.embedding.value[batch.token_ids])
+    demb_masked = _predictor_backward(params, cache["predictor"], dlogits, batch.pad_mask,
+                                      lambda: apply_mask(embedded(), out.mask_values))
 
     # straight-through: d(loss)/d(mask) at forward values, relaxed path to the logits
-    dmask = (demb_masked * cache["emb_full"]).sum(axis=2) + dmask_reg
+    dmask = (demb_masked * embedded()).sum(axis=2) + dmask_reg
     dmask *= batch.pad_mask
     soft = out.mask.soft_mask
     dgen_logits = dmask * soft * (1.0 - soft) / params.config.temperature
-    dgen_states = _gen_head_backward(params, cache["gen_states"], dgen_logits)
+    gen_caches = cache["gen_caches"]
+    dgen_states = _gen_head_backward(
+        params, _layer_output(gen_caches[-1]["hs"], batch.pad_mask), dgen_logits
+    )
     demb_full = demb_masked * out.mask_values[..., None] + _encode_backward(
-        params.gen_layers, cache["gen_caches"], dgen_states, batch.pad_mask
+        params.gen_layers, gen_caches, dgen_states, batch.pad_mask, embedded
     )
     _scatter_embedding_grad(params, batch.token_ids, demb_full)
     return LossBreakdown(ce=ce, omega=omega, total=ce + omega)

@@ -42,7 +42,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if not (0 < self.lr_gen < math.inf and 0 < self.lr_pred < math.inf):
-            raise ValueError("learning rates must be positive and finite")
+            raise ValueError(f"learning rates must be positive and finite, got "
+                             f"lr_gen={self.lr_gen:g}, lr_pred={self.lr_pred:g}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -346,11 +347,13 @@ def pretrain_skewed_predictor(
 
     def step(batch, epoch: int) -> None:
         mask = _predictor_pretrain_mask(batch, skew, token_classes, params.vocab)
-        emb = params.embedding.value[batch.token_ids]
-        logits, cache = mdl._predictor(params, mdl.apply_mask(emb, mask), batch.pad_mask,
-                                       with_cache=True)
+
+        def masked() -> np.ndarray:  # the predictor's input, rebuilt by its backward
+            return mdl.apply_mask(params.embedding.value[batch.token_ids], mask)
+
+        logits, cache = mdl._predictor(params, masked(), batch.pad_mask, with_cache=True)
         _, dlogits = obj.cross_entropy_grad(logits, batch.labels)
-        demb = mdl._predictor_backward(params, cache, dlogits, batch.pad_mask)
+        demb = mdl._predictor_backward(params, cache, dlogits, batch.pad_mask, masked)
         mdl._scatter_embedding_grad(params, batch.token_ids, demb * mask[..., None])
 
     epochs = _epochs(optimizer, splits.train, params.vocab, skew.batch_size, skew.seed, step)
@@ -364,7 +367,7 @@ def _first_token_accuracy(params: mdl.ModelParams, dataset: Dataset, batch_size:
     P(label = 1)."""
     correct = total = 0
     for batch in make_batches(dataset, params.vocab, batch_size, shuffle=False):
-        _, logits, _, _ = mdl._generator(params, batch.token_ids, batch.pad_mask, False)
+        logits = mdl._generator(params, batch.token_ids, batch.pad_mask, False)[1]
         p0 = mdl.sigmoid(logits[:, 0])
         correct += int(np.sum((p0 > 0.5).astype(int) == batch.labels))
         total += len(batch)
@@ -386,11 +389,14 @@ def pretrain_skewed_generator(
     optimizer = Adam([(parts["generator"] + parts["shared"], skew.lr)])
 
     def step(batch, epoch: int) -> None:
-        _, logits, states, caches = mdl._generator(params, batch.token_ids, batch.pad_mask, True)
+        logits, caches = mdl._generator(params, batch.token_ids, batch.pad_mask, True)[1:]
         da0 = (mdl.sigmoid(logits[:, 0]) - batch.labels) / len(batch)  # sigmoid + BCE
+        states = mdl._layer_output(caches[-1]["hs"], batch.pad_mask)
         dstates = np.zeros_like(states)
         dstates[:, :1] = mdl._gen_head_backward(params, states[:, :1], da0[:, None])
-        demb = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask)
+        del states  # not held across the encoder backward
+        demb = mdl._encode_backward(params.gen_layers, caches, dstates, batch.pad_mask,
+                                    lambda: params.embedding.value[batch.token_ids])
         mdl._scatter_embedding_grad(params, batch.token_ids, demb)
 
     epochs = _epochs(optimizer, splits.train, params.vocab, skew.batch_size, skew.seed, step)
@@ -506,13 +512,13 @@ def _map_forked(job: Callable, items: Sequence, role: str) -> list:
     return [results[k] for k in range(n)]
 
 
-def grid_cells(model_cfg: mdl.ModelConfig, splits: Splits, base_cfg: TrainConfig,
+def grid_cells(model_cfg: mdl.ModelConfig, base_cfg: TrainConfig,
                gen_rates: Sequence[float], pred_rates: Sequence[float],
                seeds: Sequence[int]) -> list[tuple[int, int, TrainConfig]]:
     """The grid's runs as (gen_rates index, pred_rates index, config), in sweep
-    order.  Raises ValueError, before any run trains, for a model that shares
-    an encoder layer, an empty or repeating list, a missing annotation split or
-    a run's config that TrainConfig rejects."""
+    order.  Raises ValueError, reading no data, for a model that shares an
+    encoder layer, an empty or repeating list or a run's config that
+    TrainConfig rejects; `check_grid_splits` holds the one rule on the data."""
     if model_cfg.share_depth != 0:
         raise ValueError(f"the learning-rate grid runs the two-phase model only: share_depth "
                          f"must be 0, got {model_cfg.share_depth}")
@@ -521,11 +527,15 @@ def grid_cells(model_cfg: mdl.ModelConfig, splits: Splits, base_cfg: TrainConfig
     for name, values in (("gen_rates", gen_rates), ("pred_rates", pred_rates), ("seeds", seeds)):
         if len(set(values)) < len(values):
             raise ValueError(f"{name} repeats a value: {list(values)}")
-    if splits.annotation is None:
-        raise ValueError("the learning-rate grid needs an annotation split to score F1")
     return [(i, j, replace(base_cfg, lr_gen=lg, lr_pred=lp, seed=seed))
             for i, lg in enumerate(gen_rates) for j, lp in enumerate(pred_rates)
             for seed in seeds]
+
+
+def check_grid_splits(splits: Splits) -> None:
+    """Raises ValueError for splits the grid cannot score: no annotation split."""
+    if splits.annotation is None:
+        raise ValueError("the learning-rate grid needs an annotation split to score F1")
 
 
 def lr_grid(
@@ -547,10 +557,11 @@ def lr_grid(
     F1; the CLI passes one that also resumes and writes the run's artifacts.
     The runs are `_map_forked` jobs, so `run_cell` may run in a forked worker
     and only its returned F1 comes back: side effects of `run_cell` are lost.
-    Results equal a sequential sweep's, bit for bit.  `grid_cells` checks the
-    grid before any run trains.
+    Results equal a sequential sweep's, bit for bit.  `grid_cells` and
+    `check_grid_splits` check the grid before any run trains.
     """
-    jobs = grid_cells(model_cfg, splits, base_cfg, gen_rates, pred_rates, seeds)
+    jobs = grid_cells(model_cfg, base_cfg, gen_rates, pred_rates, seeds)
+    check_grid_splits(splits)
 
     def score(job: tuple[int, int, TrainConfig]) -> float:
         _, _, cfg = job

@@ -390,6 +390,25 @@ class TestGridCommand:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "grid" / "grid.json").exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--gen-rates", "0", "--seeds", "0"], "lr_gen=0"),
+        (["--gen-rates", "1e-3", "--seeds", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["rate", "seed"])
+    def test_bad_cell_exits_2_before_reading_data(self, tmp_path, capsys, flags, named):
+        # a cell's rates and seed need no data: they are checked before the
+        # corpora, which here do not exist, are read
+        config = tmp_path / "jsonl.cfg"
+        config.write_text(f"data = jsonl\ndomain = beer\naspect = aroma\n"
+                          f"train_path = {tmp_path / 'no-train.jsonl'}\n"
+                          f"dev_path = {tmp_path / 'no-dev.jsonl'}\n")
+        out = tmp_path / "grid"
+        code = cli.main(["grid", "--config", str(config), "--pred-rates", "1e-3",
+                         "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "not found" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["jsonl.cfg"]
+
     def test_empty_rate_list_exits_2(self, synth_cfg, capsys):
         assert cli.main(["grid", "--config", str(synth_cfg), "--gen-rates", "",
                          "--pred-rates", "1e-3"]) == 2

@@ -278,9 +278,9 @@ class TestBiGRULayer:
         layer = BiGRULayer("spent", 5, 3, rng)
         x, pad_mask, _ = self._padded(rng)
         out, cache = layer.forward(x, pad_mask)
-        layer.backward(cache, np.ones_like(out), pad_mask)
+        layer.backward(cache, np.ones_like(out), pad_mask, lambda: x)
         with pytest.raises(RuntimeError, match="backward"):
-            layer.backward(cache, np.ones_like(out), pad_mask)
+            layer.backward(cache, np.ones_like(out), pad_mask, lambda: x)
 
     def test_backward_consumes_dout(self):
         # the padded positions of `dout` are zeroed in place; the rest is kept
@@ -290,7 +290,7 @@ class TestBiGRULayer:
         out, cache = layer.forward(x, pad_mask)
         dout = rng.normal(size=out.shape)
         expected = dout * pad_mask[:, :, None]
-        layer.backward(cache, dout, pad_mask)
+        layer.backward(cache, dout, pad_mask, lambda: x)
         assert np.array_equal(dout.view(np.int64), expected.view(np.int64))
 
     def test_uncached_forward_keeps_no_cache(self):
@@ -328,7 +328,8 @@ def _stack_pass(params, batch, dstates):
     states, caches = encode(params.gen_layers, emb, batch.pad_mask, with_cache=True)
     plain, no_caches = encode(params.gen_layers, emb, batch.pad_mask)
     assert no_caches is None
-    dx = mdl._encode_backward(params.gen_layers, caches, dstates.copy(), batch.pad_mask)
+    dx = mdl._encode_backward(params.gen_layers, caches, dstates.copy(), batch.pad_mask,
+                              lambda: emb)
     grads = [p.grad.copy() for layer in params.gen_layers for p in layer.parameters()]
     return [states, plain, dx, *grads]
 
@@ -413,7 +414,8 @@ class TestThreadedDirections:
         params, batch, dstates = stack
         layer = params.gen_layers[0]
         started = _set_threading(monkeypatch, cpus=cpus)
-        _, cache = layer.forward(params.embedding.value[batch.token_ids], batch.pad_mask)
+        x = params.embedding.value[batch.token_ids]
+        _, cache = layer.forward(x, batch.pad_mask)
         gates = cache["gates"]
         input_grads, read = mdl._input_grads, {}
 
@@ -423,7 +425,7 @@ class TestThreadedDirections:
             return input_grads(direction, dpre_x, *args)
 
         monkeypatch.setattr(mdl, "_input_grads", recording)
-        layer.backward(cache, dstates.copy(), batch.pad_mask)
+        layer.backward(cache, dstates.copy(), batch.pad_mask, lambda: x)
         assert read == {layer.fw.W.name: (True, False), layer.bw.W.name: (False, True)}
         # the forward, the backward's step loop and its input-gradient GEMMs
         assert len(started) == (3 if cpus == 2 else 0)
@@ -443,8 +445,11 @@ def _traced(run) -> tuple[int, int]:
 
 
 class TestPeakMemory:
-    """A layer pass and a training step hold their caches, their states and one
-    output gradient at a time.  The allowance covers what scales with one
+    """A layer pass holds its cache, its output and one output gradient at a
+    time; a training step holds every layer pass's `gates`, `hs` and `pre_hn`
+    and one (B, L, 2H) states array (an output or an output gradient) at a
+    time, as it rebuilds the embedding rows, the predictor's masked input and
+    the generator states.  The allowance covers what scales with one
     step: per step the step-major pad masks and two per-step views, and 32
     pair-step arrays for the step loops' temporaries (two threads' worth).  At
     L=256 it is 3/4 of one (B, L, 2H) array, so a full-sequence temporary on
@@ -471,13 +476,13 @@ class TestPeakMemory:
         x = rng.normal(size=(self.B, self.L, self.E)) * pad_mask[:, :, None]
         dout = rng.normal(size=(self.B, self.L, 2 * self.H))
         _set_threading(monkeypatch, cpus=cpus)
-        layer.backward(layer.forward(x, pad_mask)[1], dout.copy(), pad_mask)  # warm-up
+        layer.backward(layer.forward(x, pad_mask)[1], dout.copy(), pad_mask, lambda: x)  # warm-up
         held = {}
 
         def run():
             out, cache = layer.forward(x, pad_mask)
             held.update({k: cache[k].nbytes for k in ("gates", "hs", "pre_hn")}, out=out.nbytes)
-            layer.backward(cache, dout, pad_mask)
+            layer.backward(cache, dout, pad_mask, lambda: x)
 
         peak, _ = _traced(run)
         # the input gradient and its two per-direction parts fit in the states
@@ -485,10 +490,9 @@ class TestPeakMemory:
         assert 3 * x.nbytes <= held["hs"] + held["pre_hn"]
         assert peak <= sum(held.values()) + self._allowance()
 
-    def test_two_phase_training_step(self, tiny_world):
-        _, _, vocab = tiny_world
+    def _assert_training_step_bound(self, vocab, share_depth: int) -> None:
         rng = np.random.default_rng(9)
-        cfg = ModelConfig(embedding_dim=self.E, hidden_dim=2 * self.H, share_depth=0)
+        cfg = ModelConfig(embedding_dim=self.E, hidden_dim=2 * self.H, share_depth=share_depth)
         params = build_model(cfg, vocab, seed=4)
         pad_mask, lengths = self._pad_mask()
         token_ids = np.where(pad_mask > 0, rng.integers(2, len(vocab), size=pad_mask.shape),
@@ -497,11 +501,62 @@ class TestPeakMemory:
                       pad_mask=pad_mask, lengths=lengths, labels=np.arange(self.B) % 2)
         objective_cfg = obj.ObjectiveConfig()
         loss_and_grads(params, batch, objective_cfg, noise=1)  # warm-up
-        # the caches, states, embeddings and mask of the step's forward
-        _, held = _traced(lambda: forward(params, batch, noise=1, with_cache=True))
+        cache = forward(params, batch, noise=1, with_cache=True).cache
+        layer_caches = cache["gen_caches"] + cache["predictor"]["encoder"]
+        assert len(layer_caches) == 2  # a generator pass and a predictor pass of one layer
+        held = sum(c[k].nbytes for c in layer_caches for k in ("gates", "hs", "pre_hn"))
         peak, _ = _traced(lambda: loss_and_grads(params, batch, objective_cfg, noise=1))
-        states_grad = self.B * self.L * 2 * self.H * 8
-        assert peak <= held + states_grad + self._allowance()
+        states = self.B * self.L * 2 * self.H * 8
+        assert peak <= held + states + self._allowance()
+
+    def test_two_phase_training_step(self, tiny_world):
+        self._assert_training_step_bound(tiny_world[2], share_depth=0)
+
+    def test_folded_training_step(self, tiny_world):
+        # both views run the one shared layer, which keeps a cache per pass
+        self._assert_training_step_bound(tiny_world[2], share_depth=1)
+
+
+class TestStepCache:
+    """What a training step's forward keeps for its backward."""
+
+    @pytest.mark.parametrize("num_layers, share_depth", [(1, 0), (1, 1), (2, 1)],
+                             ids=["two_phase", "folded", "two_layers"])
+    def test_cache_holds_what_the_layers_computed(self, tiny_world, monkeypatch, num_layers,
+                                                  share_depth):
+        # each layer cache is its gates, hs and pre_hn; nothing in the cache
+        # is an encoder input (the embedding gather or its masked copy)
+        _, splits, vocab = tiny_world
+        cfg = ModelConfig(embedding_dim=4, hidden_dim=6, num_layers=num_layers,
+                          share_depth=share_depth)
+        params = build_model(cfg, vocab, seed=2)
+        batch = _padded_batch(splits, vocab)
+        inputs, encode_ = [], mdl.encode
+
+        def recording(layers, x, *args):
+            inputs.append(x)  # the embedding gather, then the predictor's masked copy
+            return encode_(layers, x, *args)
+
+        monkeypatch.setattr(mdl, "encode", recording)
+        cache = forward(params, batch, noise=1, with_cache=True).cache
+        assert len(inputs) == 2
+
+        def arrays(node):
+            if isinstance(node, np.ndarray):
+                yield node
+            elif isinstance(node, dict):
+                for value in node.values():
+                    yield from arrays(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from arrays(value)
+
+        layer_caches = cache["gen_caches"] + cache["predictor"]["encoder"]
+        assert len(layer_caches) == 2 * num_layers
+        assert all(set(c) == {"gates", "hs", "pre_hn"} for c in layer_caches)
+        held = list(arrays(cache))
+        assert held
+        assert not any(np.shares_memory(a, x) for a in held for x in inputs)
 
 
 class TestGeneratorProbs:
@@ -858,7 +913,8 @@ class TestGradients:
             emb = params.embedding.value[batch.token_ids]
             logits, cache = mdl._predictor(params, apply_mask(emb, mask), batch.pad_mask, True)
             _, dlogits = obj.cross_entropy_grad(logits, batch.labels)
-            demb = mdl._predictor_backward(params, cache, dlogits, batch.pad_mask)
+            demb = mdl._predictor_backward(params, cache, dlogits, batch.pad_mask,
+                                           lambda: apply_mask(emb, mask))
             mdl._scatter_embedding_grad(params, batch.token_ids, demb * mask[..., None])
 
         self._check_all_gradients(params, backward, loss)
